@@ -389,11 +389,10 @@ Result<jsonl::Object> RunWorkload(const Flags& flags) {
     }
   }
 
-  // Stage 7: registry-model serving on the heterogeneous workload —
-  // the router's dispatch+member query, the ensemble's full RRF blend,
-  // and the Dawid-Skene lookup path, per query against real candidates.
-  // Gates the "routing costs a centroid dot-product, not a second
-  // model" claim.
+  // Stage 7: router serving on the heterogeneous workload — the
+  // router's dispatch + member query, per query against real
+  // candidates. Gates the "routing costs a centroid dot-product, not a
+  // second model" claim.
   {
     HeterogeneousConfig hetero;
     hetero.num_types = 3;
@@ -408,30 +407,26 @@ Result<jsonl::Object> RunWorkload(const Flags& flags) {
     config.tdpm.num_threads = 1;
     config.tdpm.seed = flags.seed;
     config.router_num_clusters = 3;
-    config.ds_num_types = 3;
     const std::vector<WorkerId> candidates = data.dataset.db.OnlineWorkers();
     const BagOfWords& query = data.dataset.db.tasks().front().bag;
-    for (const char* id : {"router", "ensemble", "dawid_skene"}) {
-      CS_ASSIGN_OR_RETURN(std::unique_ptr<CrowdModel> model,
-                          CrowdModelRegistry::Global().Create(id, config));
-      CS_RETURN_NOT_OK(model->Train(data.dataset.db));
-      const double median_us = MedianMicros(flags.reps, [&] {
-        auto ranked = model->SelectTopK(query, 10, candidates);
-        CS_CHECK(ranked.ok());
-      });
-      report[std::string(id) + "_select_us"] = median_us;
-      std::fprintf(stderr, "model: %s select -> %.1fus (median of %d)\n", id,
-                   median_us, flags.reps);
-    }
+    CS_ASSIGN_OR_RETURN(std::unique_ptr<CrowdModel> model,
+                        CreateCrowdModel("router", config));
+    CS_RETURN_NOT_OK(model->Train(data.dataset.db));
+    const double median_us = MedianMicros(flags.reps, [&] {
+      auto ranked = model->SelectTopK(query, 10, candidates);
+      CS_CHECK(ranked.ok());
+    });
+    report["router_select_us"] = median_us;
+    std::fprintf(stderr, "model: router select -> %.1fus (median of %d)\n",
+                 median_us, flags.reps);
   }
 
   // Stage 8: the blocked ScoreKernel scan at 1M workers — scalar
-  // reference vs the dispatched SIMD kernel vs the int8 phase-1 +
-  // full-precision-rescore path, all three engines sharing one
+  // reference vs the dispatched SIMD kernel, both engines sharing one
   // snapshot. Gates the "SIMD dispatch actually buys throughput on the
   // dense scan" claim in-harness (skipped when dispatch resolves to
   // scalar, e.g. under CROWDSELECT_FORCE_SCALAR or on a non-SIMD box),
-  // and asserts the determinism contract at scale: all three paths must
+  // and asserts the determinism contract at scale: both kernels must
   // return the identical ranking.
   {
     constexpr size_t kPoolSize = 1000000;
@@ -451,19 +446,14 @@ Result<jsonl::Object> RunWorkload(const Flags& flags) {
     scalar_options.force_scalar_kernel = true;
     serve::SelectionEngine scalar_engine(scalar_options);
     serve::SelectionEngine simd_engine{serve::ServeOptions{}};
-    serve::ServeOptions int8_options;
-    int8_options.quant = serve::ScanQuant::kInt8;
-    serve::SelectionEngine int8_engine(int8_options);
     scalar_engine.PublishSnapshot(snapshot);
     simd_engine.PublishSnapshot(snapshot);
-    int8_engine.PublishSnapshot(snapshot);
 
-    std::vector<RankedWorker> rankings[3];
-    const char* stage_names[3] = {"scalar", "simd", "int8"};
-    serve::SelectionEngine* engines[3] = {&scalar_engine, &simd_engine,
-                                          &int8_engine};
-    double medians[3];
-    for (int e = 0; e < 3; ++e) {
+    std::vector<RankedWorker> rankings[2];
+    const char* stage_names[2] = {"scalar", "simd"};
+    serve::SelectionEngine* engines[2] = {&scalar_engine, &simd_engine};
+    double medians[2];
+    for (int e = 0; e < 2; ++e) {
       medians[e] = MedianMicros(flags.reps, [&] {
         auto ranked = engines[e]->RankByCategory(category, 8, candidates);
         CS_CHECK(ranked.ok());
@@ -475,14 +465,11 @@ Result<jsonl::Object> RunWorkload(const Flags& flags) {
                    stage_names[e], engines[e]->kernel().id(), medians[e],
                    flags.reps);
     }
-    for (int e = 1; e < 3; ++e) {
-      CS_CHECK(rankings[e].size() == rankings[0].size());
-      for (size_t i = 0; i < rankings[0].size(); ++i) {
-        CS_CHECK(rankings[e][i].worker == rankings[0][i].worker &&
-                 rankings[e][i].score == rankings[0][i].score)
-            << stage_names[e] << " ranking diverged from scalar at rank "
-            << i;
-      }
+    CS_CHECK(rankings[1].size() == rankings[0].size());
+    for (size_t i = 0; i < rankings[0].size(); ++i) {
+      CS_CHECK(rankings[1][i].worker == rankings[0][i].worker &&
+               rankings[1][i].score == rankings[0][i].score)
+          << "simd ranking diverged from scalar at rank " << i;
     }
     if (std::strcmp(simd_engine.kernel().id(), "scalar") != 0) {
       // The dense fp64 scan is memory-bandwidth-bound at this size, so
@@ -553,7 +540,10 @@ Result<bool> CompareAgainstBaseline(const jsonl::Object& report,
 
 int main(int argc, char** argv) {
   Flags flags;
-  for (int i = 1; i + 1 < argc; i += 2) {
+  for (int i = 1; i < argc; i += 2) {
+    // Every flag takes a value: a lone or trailing flag (`--help`,
+    // `--quick` with nothing after it) is a usage error, never a default.
+    if (i + 1 >= argc) return Usage();
     const std::string key = argv[i];
     const char* value = argv[i + 1];
     if (key == "--out") {

@@ -38,9 +38,7 @@
 #include "eval/metrics.h"      // IWYU pragma: export
 #include "eval/reporter.h"     // IWYU pragma: export
 #include "eval/split.h"        // IWYU pragma: export
-#include "model/capacity_routing.h"  // IWYU pragma: export
 #include "model/crowd_model.h"       // IWYU pragma: export
-#include "model/dawid_skene.h"       // IWYU pragma: export
 #include "model/task_clustering.h"   // IWYU pragma: export
 #include "model/exploration.h" // IWYU pragma: export
 #include "model/fold_in.h"     // IWYU pragma: export

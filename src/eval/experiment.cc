@@ -42,16 +42,15 @@ Result<std::vector<SelectorFactory>> ModelSelectorFactories(
     const std::vector<std::string>& ids, const ModelConfig& config) {
   // Validate every id up front so a typo fails before any training runs.
   for (const std::string& id : ids) {
-    if (!CrowdModelRegistry::Global().Has(id)) {
-      CS_RETURN_NOT_OK(
-          CrowdModelRegistry::Global().Create(id, config).status());
+    if (!IsCrowdModelId(id)) {
+      CS_RETURN_NOT_OK(CreateCrowdModel(id, config).status());
     }
   }
   std::vector<SelectorFactory> factories;
   factories.reserve(ids.size());
   for (const std::string& id : ids) {
     factories.push_back([id, config]() -> std::unique_ptr<CrowdSelector> {
-      auto model = CrowdModelRegistry::Global().Create(id, config);
+      auto model = CreateCrowdModel(id, config);
       CS_CHECK_OK(model.status());  // Ids were validated above.
       return std::move(*model);
     });

@@ -25,9 +25,9 @@ using SelectorFactory = std::function<std::unique_ptr<CrowdSelector>()>;
 std::vector<SelectorFactory> StandardSelectorFactories(size_t k,
                                                        uint64_t seed);
 
-/// Factories from the crowd-model registry, one per id ("tdpm",
-/// "dawid_skene", "router", "ensemble", or anything registered), all
-/// sharing `config`. Unknown ids fail here, not mid-experiment.
+/// Factories for crowd models by id ("tdpm" or "router"; see
+/// CreateCrowdModel), all sharing `config`. Unknown ids fail here, not
+/// mid-experiment.
 Result<std::vector<SelectorFactory>> ModelSelectorFactories(
     const std::vector<std::string>& ids, const ModelConfig& config);
 

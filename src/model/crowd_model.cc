@@ -1,8 +1,5 @@
 #include "model/crowd_model.h"
 
-#include <utility>
-
-#include "model/dawid_skene.h"
 #include "model/selection.h"
 #include "obs/metrics.h"
 #include "serve/router.h"
@@ -12,24 +9,9 @@ namespace crowdselect {
 
 namespace {
 
-DawidSkeneOptions DsOptionsFrom(const ModelConfig& config) {
-  DawidSkeneOptions options;
-  options.num_labels = config.ds_num_labels;
-  options.num_types = config.ds_num_types;
-  options.max_em_iterations = config.ds_max_em_iterations;
-  options.smoothing = config.ds_smoothing;
-  options.seed = config.tdpm.seed;
-  return options;
-}
-
-/// Per-cluster TDPM members behind a router; `mode` decides hard
-/// dispatch ("router") vs. RRF blending ("ensemble").
-std::unique_ptr<CrowdModel> MakeRouted(const ModelConfig& config,
-                                       serve::RouteMode mode) {
+/// Per-cluster TDPM members behind a similarity router.
+std::unique_ptr<CrowdModel> MakeRouter(const ModelConfig& config) {
   serve::RouterOptions options;
-  options.mode = mode;
-  options.rrf_k = config.router_rrf_k;
-  options.ensemble_gamma = config.router_ensemble_gamma;
   options.seed = config.tdpm.seed;
   auto router = std::make_unique<serve::TaskTypeRouter>(options);
   const size_t members =
@@ -37,85 +19,34 @@ std::unique_ptr<CrowdModel> MakeRouted(const ModelConfig& config,
   for (size_t m = 0; m < members; ++m) {
     // Distinct seeds so members do not mirror each other's EM paths on
     // identical sub-corpora.
-    ModelConfig member_config = config;
-    member_config.tdpm.seed = config.tdpm.seed + m;
-    router->AddModel(std::make_unique<TdpmSelector>(member_config.tdpm,
-                                                    member_config.serve));
+    TdpmOptions member = config.tdpm;
+    member.seed = config.tdpm.seed + m;
+    router->AddModel(std::make_unique<TdpmSelector>(member, config.serve));
   }
   return router;
 }
 
 }  // namespace
 
-CrowdModelRegistry::CrowdModelRegistry() {
-  // Builtins live in the same TU as the registry, so linking the
-  // registry always links them — a static-library build cannot strip
-  // them the way it would strip self-registering TUs.
-  factories_["tdpm"] = [](const ModelConfig& config) {
-    return std::make_unique<TdpmSelector>(config.tdpm, config.serve);
-  };
-  factories_["dawid_skene"] = [](const ModelConfig& config) {
-    return std::make_unique<DawidSkeneModel>(DsOptionsFrom(config),
-                                             config.serve);
-  };
-  factories_["router"] = [](const ModelConfig& config) {
-    return MakeRouted(config, serve::RouteMode::kSimilarity);
-  };
-  factories_["ensemble"] = [](const ModelConfig& config) {
-    return MakeRouted(config, serve::RouteMode::kEnsemble);
-  };
+bool IsCrowdModelId(const std::string& id) {
+  return id == "tdpm" || id == "router";
 }
 
-CrowdModelRegistry& CrowdModelRegistry::Global() {
-  static CrowdModelRegistry registry;
-  return registry;
-}
-
-void CrowdModelRegistry::Register(const std::string& id, Factory factory) {
-  std::lock_guard<std::mutex> lock(mu_);
-  factories_[id] = std::move(factory);
-}
-
-Result<std::unique_ptr<CrowdModel>> CrowdModelRegistry::Create(
-    const std::string& id, const ModelConfig& config) const {
+Result<std::unique_ptr<CrowdModel>> CreateCrowdModel(
+    const std::string& id, const ModelConfig& config) {
   static obs::Counter* created =
       obs::MetricsRegistry::Global().GetCounter("model.created");
-  Factory factory;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = factories_.find(id);
-    if (it == factories_.end()) {
-      std::string known;
-      for (const auto& [known_id, unused] : factories_) {
-        if (!known.empty()) known += ", ";
-        known += known_id;
-      }
-      return Status::NotFound(
-          StringPrintf("unknown crowd model \"%s\" (known: %s)", id.c_str(),
-                       known.c_str()));
-    }
-    factory = it->second;
-  }
-  std::unique_ptr<CrowdModel> model = factory(config);
-  if (model == nullptr) {
-    return Status::Internal(
-        StringPrintf("factory for \"%s\" returned null", id.c_str()));
+  std::unique_ptr<CrowdModel> model;
+  if (id == "tdpm") {
+    model = std::make_unique<TdpmSelector>(config.tdpm, config.serve);
+  } else if (id == "router") {
+    model = MakeRouter(config);
+  } else {
+    return Status::NotFound(StringPrintf(
+        "unknown crowd model \"%s\" (known: router, tdpm)", id.c_str()));
   }
   created->Increment();
   return model;
-}
-
-bool CrowdModelRegistry::Has(const std::string& id) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return factories_.count(id) > 0;
-}
-
-std::vector<std::string> CrowdModelRegistry::Ids() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> ids;
-  ids.reserve(factories_.size());
-  for (const auto& [id, unused] : factories_) ids.push_back(id);
-  return ids;
 }
 
 }  // namespace crowdselect

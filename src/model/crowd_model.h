@@ -1,10 +1,9 @@
-// The pluggable crowd-model interface: everything the serving stack
-// needs from a trained model of worker ability. TDPM (model/selection.h)
-// is the paper's algorithm; Dawid-Skene confusion matrices
-// (model/dawid_skene.h) and the task-type router (serve/router.h) are
-// alternative backends behind the same contract, created by registry id
-// so hosts (CLI, crowd manager, eval harness, benches) never name a
-// concrete class.
+// The crowd-model interface: everything the serving stack needs from a
+// trained model of worker ability. TDPM (model/selection.h) is the
+// paper's algorithm; the task-type router (serve/router.h) composes
+// per-type TDPM members behind the same contract. Both are created by
+// id through CreateCrowdModel, so hosts (CLI, crowd manager, eval
+// harness, benches) never name a concrete class.
 //
 // Contract, on top of CrowdSelector:
 //   Train(db)              batch fit over resolved tasks
@@ -21,12 +20,8 @@
 #ifndef CROWDSELECT_MODEL_CROWD_MODEL_H_
 #define CROWDSELECT_MODEL_CROWD_MODEL_H_
 
-#include <functional>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "crowddb/selector_interface.h"
@@ -38,45 +33,25 @@
 
 namespace crowdselect {
 
-/// Model-construction knobs shared by every backend, plus the
-/// backend-specific sections. One flat struct (rather than per-model
-/// option types at the seam) so the CLI and eval harness can configure
-/// any registry id uniformly.
+/// Model-construction knobs for every model id. One flat struct (rather
+/// than per-model option types at the seam) so the CLI and eval harness
+/// can configure any id uniformly.
 struct ModelConfig {
   /// Latent-space options (categories, EM iterations, seed, threads).
-  /// TDPM consumes all of it; other backends reuse `seed` and
-  /// `num_threads`.
   TdpmOptions tdpm;
   /// Serving-engine knobs (cache capacity, scan parallelism).
   serve::ServeOptions serve;
-
-  // --- Dawid-Skene backend -------------------------------------------------
-  /// Discretized answer-quality labels L (feedback scores are quantile-
-  /// binned into L classes; each worker gets an LxL confusion matrix per
-  /// task type).
-  size_t ds_num_labels = 4;
-  /// Task types T clustered from task term vectors; skills are per-type.
-  size_t ds_num_types = 4;
-  size_t ds_max_em_iterations = 100;
-  /// Additive smoothing for confusion-matrix counts.
-  double ds_smoothing = 1.0;
-
-  // --- Task-type router ----------------------------------------------------
   /// Clusters the training tasks into this many types, one TDPM per
-  /// cluster ("router" registry id).
+  /// cluster ("router" id).
   size_t router_num_clusters = 3;
-  /// Reciprocal-rank-fusion constant for ensemble blending.
-  double router_rrf_k = 60.0;
-  /// Ensemble weight-sharpening exponent (see RouterOptions).
-  double router_ensemble_gamma = 4.0;
 };
 
 /// Abstract crowd model: a CrowdSelector that additionally exposes
 /// fold-in, EXPLAIN-instrumented selection, and its published snapshot.
 class CrowdModel : public CrowdSelector {
  public:
-  /// Registry id this model was created under ("tdpm", "dawid_skene",
-  /// "router", "ensemble"). Distinct from Name(), the report label.
+  /// Id this model was created under ("tdpm" or "router"). Distinct
+  /// from Name(), the report label.
   virtual std::string ModelId() const = 0;
 
   /// Projects a new task into the model's latent space (through the
@@ -111,36 +86,14 @@ class CrowdModel : public CrowdSelector {
   }
 };
 
-/// String-keyed factory registry. Builtins ("tdpm", "dawid_skene",
-/// "router", "ensemble") are registered by this library's own TU, so any
-/// binary that links the registry sees them — no static-initializer
-/// tricks that a static-library link could strip.
-class CrowdModelRegistry {
- public:
-  using Factory =
-      std::function<std::unique_ptr<CrowdModel>(const ModelConfig&)>;
+/// Instantiates an untrained model by id ("tdpm" or "router") and
+/// counts it in `model.created`. NotFound for any other id, with the
+/// known ids listed in the message.
+Result<std::unique_ptr<CrowdModel>> CreateCrowdModel(const std::string& id,
+                                                     const ModelConfig& config);
 
-  static CrowdModelRegistry& Global();
-
-  /// Registers (or replaces) a factory under `id`.
-  void Register(const std::string& id, Factory factory);
-
-  /// Instantiates an untrained model. NotFound for unknown ids, with the
-  /// known ids listed in the message.
-  Result<std::unique_ptr<CrowdModel>> Create(const std::string& id,
-                                             const ModelConfig& config) const;
-
-  bool Has(const std::string& id) const;
-
-  /// Registered ids, sorted.
-  std::vector<std::string> Ids() const;
-
- private:
-  CrowdModelRegistry();
-
-  mutable std::mutex mu_;
-  std::map<std::string, Factory> factories_;
-};
+/// True for the ids CreateCrowdModel accepts.
+bool IsCrowdModelId(const std::string& id);
 
 }  // namespace crowdselect
 

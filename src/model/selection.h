@@ -25,7 +25,7 @@ namespace crowdselect {
 /// Train() runs variational EM (Algorithm 2) over the resolved tasks in
 /// the database, then hands the result to a serve::SelectionEngine: the
 /// worker posterior means become an immutable SkillMatrixSnapshot and the
-/// fold-in projector is attached. SelectTopK() projects the incoming task
+/// fold-in folder is attached. SelectTopK() projects the incoming task
 /// into the latent category space (Algorithm 3, through the engine's
 /// fold-in cache) and ranks workers by the predictive performance
 /// w_i . c_j (Eq. 1) with the engine's blocked parallel top-k scan.

@@ -1,9 +1,9 @@
-// Task-type discovery shared by the Dawid-Skene backend and the
-// task-type router: spherical k-means over normalized term-frequency
-// vectors. Cosine similarity is the natural metric for bag-of-words
-// tasks (it is what the paper's VSM baseline ranks with), and keeping
-// the centroids in the vocabulary space lets the router score an
-// incoming task against each model's centroid with one sparse pass.
+// Task-type discovery for the task-type router (serve/router.h):
+// spherical k-means over normalized term-frequency vectors. Cosine
+// similarity is the natural metric for bag-of-words tasks (it is what
+// the paper's VSM baseline ranks with), and keeping the centroids in the
+// vocabulary space lets the router score an incoming task against each
+// model's centroid with one sparse pass.
 #ifndef CROWDSELECT_MODEL_TASK_CLUSTERING_H_
 #define CROWDSELECT_MODEL_TASK_CLUSTERING_H_
 

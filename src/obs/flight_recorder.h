@@ -50,7 +50,7 @@ enum class FlightEventType : uint8_t {
   kMark = 11,         ///< Free-form marker (debug-dump, tests).
   kRouteDecision = 12,  ///< Router dispatched a query (a = member, b = mode).
   kAlert = 13,  ///< Alert rule changed state (a = rule index, b = new state).
-  kKernelScan = 14,  ///< Dense panel scan (a = kernel ordinal, b = quant).
+  kKernelScan = 14,  ///< Dense panel scan (a = kernel ordinal, b = candidates).
 };
 
 /// Stable lowercase name for a FlightEventType ("span_begin", ...).

@@ -146,8 +146,12 @@ void TimeSeriesStore::SamplingLoop(double interval_seconds,
       // SampleRegistry touches the registry or store mutex (leaf lock).
       // cs:lock(obs.timeseries.sampler)
       std::unique_lock<lockdep::Mutex> lock(sampler_mu_);
-      sampler_cv_.wait_for(lock, interval);
-      if (sampler_stopping_) return;
+      // The predicate sees a Stop that ran before this thread first
+      // waited, and keeps a spurious wakeup from sampling early.
+      if (sampler_cv_.wait_for(lock, interval,
+                               [this] { return sampler_stopping_; })) {
+        return;
+      }
     }
     const double t = std::chrono::duration<double>(
                          std::chrono::steady_clock::now() - start)

@@ -188,8 +188,12 @@ void SloTracker::RotationLoop(double interval_seconds) {
       // touches the tracker map or any window mutex (leaf lock).
       // cs:lock(obs.slo.rotation)
       std::unique_lock<lockdep::Mutex> lock(rotation_mu_);
-      rotation_cv_.wait_for(lock, interval);
-      if (rotation_stopping_) return;
+      // The predicate sees a Stop that ran before this thread first
+      // waited, and keeps a spurious wakeup from rotating early.
+      if (rotation_cv_.wait_for(lock, interval,
+                                [this] { return rotation_stopping_; })) {
+        return;
+      }
     }
     RotateAll();
   }

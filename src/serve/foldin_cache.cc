@@ -46,15 +46,6 @@ uint64_t HashBag(const BagOfWords& bag) {
   return h;
 }
 
-uint64_t HashModelId(const std::string& model_id) {
-  uint64_t h = 0xCBF29CE484222325ULL;  // FNV offset basis.
-  for (char c : model_id) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001B3ULL;  // FNV prime.
-  }
-  return h;
-}
-
 FoldInCache::FoldInCache(size_t capacity) : capacity_(capacity) {}
 
 bool FoldInCache::Lookup(uint64_t ns, uint64_t key, FoldInResult* out) {

@@ -1,14 +1,14 @@
 // Bounded LRU cache over fold-in posteriors, keyed by (namespace,
-// content hash): the namespace identifies which model family produced
-// the posterior (model id + snapshot generation) and the hash is a
-// 64-bit content hash of the task's bag-of-words. Repeated or
+// content hash): the namespace identifies which model produced the
+// posterior (the engine's folder generation and panel layout) and the
+// hash is a 64-bit content hash of the task's bag-of-words. Repeated or
 // re-dispatched tasks skip the fold-in subproblem entirely: a hit is a
 // mutex-guarded map lookup plus two Vector copies, microseconds against
 // the CG solve's hundreds.
 //
 // The namespace half of the key exists because two models can project
-// the *same* task text to entirely different latent spaces — a TDPM
-// posterior served to a Dawid-Skene query (or vice versa) would be a
+// the *same* task text to entirely different latent spaces — a
+// posterior of the model before a retrain served after it would be a
 // silent wrong answer. Keying on content hash alone did exactly that
 // when an engine was rebuilt for a different model; see the
 // FoldInCacheNamespace regression test.
@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <list>
 #include <mutex>
-#include <string>
 #include <unordered_map>
 #include <utility>
 
@@ -37,10 +36,6 @@ namespace crowdselect::serve {
 /// collision returns a wrong but well-formed posterior; at 2^32 distinct
 /// tasks the birthday bound is ~0.4).
 uint64_t HashBag(const BagOfWords& bag);
-
-/// FNV-1a over a model-id string, used as the cache-namespace seed so
-/// distinct model ids map to distinct namespaces.
-uint64_t HashModelId(const std::string& model_id);
 
 /// Thread-safe LRU map: (namespace, content hash) -> fold-in posterior.
 /// Capacity 0 disables every operation (Lookup always misses, Insert
@@ -61,7 +56,7 @@ class FoldInCache {
   void Insert(uint64_t ns, uint64_t key, const FoldInResult& value);
 
   /// Single-model convenience forms (namespace 0), used by benches and
-  /// tests that exercise one projector.
+  /// tests that exercise one folder.
   bool Lookup(uint64_t key, FoldInResult* out) {
     return Lookup(/*ns=*/0, key, out);
   }

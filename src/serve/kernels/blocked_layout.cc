@@ -1,44 +1,15 @@
-// BlockedPanels encode/re-encode and the per-lane reference chains.
+// BlockedPanels encode/re-encode and the per-lane reference chain.
 // This TU compiles with -ffp-contract=off (see src/CMakeLists.txt):
-// LaneScore / LaneScoreInt8 must execute the exact multiply-then-add
-// sequence of the kernels, and a contracted FMA here would silently
-// diverge from a non-contracted kernel (or vice versa) in the last ulp
-// — enough to flip a near-tie and break the bitwise path-equivalence
-// the test suite pins.
+// LaneScore must execute the exact multiply-then-add sequence of the
+// kernels, and a contracted FMA here would silently diverge from a
+// non-contracted kernel (or vice versa) in the last ulp — enough to
+// flip a near-tie and break the bitwise path-equivalence the test suite
+// pins.
 #include "serve/kernels/score_kernel.h"
-
-#include <cmath>
 
 #include "util/logging.h"
 
 namespace crowdselect::serve::kernels {
-
-namespace {
-
-/// Symmetric per-worker quantization: scale = max|row| / 127,
-/// code = round(v / scale) in [-127, 127]. All-zero rows get scale 0
-/// and zero codes (LaneScoreInt8 then returns exactly 0).
-double RowScale(const double* row, size_t dims) {
-  double max_abs = 0.0;
-  for (size_t d = 0; d < dims; ++d) {
-    const double a = std::fabs(row[d]);
-    if (a > max_abs) max_abs = a;
-  }
-  return max_abs / 127.0;
-}
-
-int8_t Encode(double v, double scale) {
-  if (scale == 0.0) return 0;
-  const double scaled = v / scale;
-  // |scaled| <= 127 by construction of the scale; clamp anyway so a
-  // rounding excursion can never wrap.
-  const long code = std::lrint(scaled < -127.0   ? -127.0
-                               : scaled > 127.0 ? 127.0
-                                                : scaled);
-  return static_cast<int8_t>(code);
-}
-
-}  // namespace
 
 BlockedPanels BlockedPanels::Build(const Matrix& row_major) {
   BlockedPanels panels;
@@ -47,8 +18,6 @@ BlockedPanels BlockedPanels::Build(const Matrix& row_major) {
   panels.num_panels_ =
       (panels.num_workers_ + kPanelWidth - 1) / kPanelWidth;
   panels.fp_.assign(panels.num_panels_ * panels.dims_ * kPanelWidth, 0.0);
-  panels.q8_.assign(panels.num_panels_ * panels.dims_ * kPanelWidth, 0);
-  panels.scales_.assign(panels.num_panels_ * kPanelWidth, 0.0);
   for (size_t w = 0; w < panels.num_workers_; ++w) {
     panels.ReencodeRow(w, row_major.RowPtr(w));
   }
@@ -60,13 +29,7 @@ void BlockedPanels::ReencodeRow(size_t w, const double* row) {
   const size_t panel = w / kPanelWidth;
   const size_t lane = w % kPanelWidth;
   double* fp = fp_.data() + panel * dims_ * kPanelWidth;
-  int8_t* q8 = q8_.data() + panel * dims_ * kPanelWidth;
-  const double scale = RowScale(row, dims_);
-  scales_[w] = scale;
-  for (size_t d = 0; d < dims_; ++d) {
-    fp[d * kPanelWidth + lane] = row[d];
-    q8[d * kPanelWidth + lane] = Encode(row[d], scale);
-  }
+  for (size_t d = 0; d < dims_; ++d) fp[d * kPanelWidth + lane] = row[d];
 }
 
 double BlockedPanels::LaneScore(size_t w, const double* query) const {
@@ -79,18 +42,6 @@ double BlockedPanels::LaneScore(size_t w, const double* query) const {
     acc = acc + fp[d * kPanelWidth + lane] * query[d];
   }
   return acc;
-}
-
-double BlockedPanels::LaneScoreInt8(size_t w, const double* query) const {
-  CS_DCHECK(w < num_workers_);
-  const size_t panel = w / kPanelWidth;
-  const size_t lane = w % kPanelWidth;
-  const int8_t* q8 = q8_.data() + panel * dims_ * kPanelWidth;
-  double acc = 0.0;
-  for (size_t d = 0; d < dims_; ++d) {
-    acc = acc + static_cast<double>(q8[d * kPanelWidth + lane]) * query[d];
-  }
-  return scales_[w] * acc;
 }
 
 uint64_t BlockedPanels::Signature() const {

@@ -1,12 +1,9 @@
 // AVX2 ScoreKernel: two 256-bit accumulators cover one 8-lane panel;
-// each dimension is one broadcast + two multiply/add pairs (fp) or a
-// sign-extend + convert + multiply/add (int8). Deliberately
+// each dimension is one broadcast + two multiply/add pairs. Deliberately
 // _mm256_mul_pd + _mm256_add_pd, NOT _mm256_fmadd_pd: the determinism
 // contract (score_kernel.h) requires the same unfused chain as the
 // scalar reference, and this TU compiles with -ffp-contract=off so the
-// compiler cannot re-fuse the pair behind our back. The panel scan is
-// memory-bound at pool scale, so the fused variant would not buy
-// throughput anyway.
+// compiler cannot re-fuse the pair behind our back.
 //
 // The whole TU is gated on x86-64 and compiled with -mavx2 (see
 // src/CMakeLists.txt); callers reach it only through
@@ -40,28 +37,6 @@ class Avx2Kernel final : public ScoreKernel {
       acc_hi =
           _mm256_add_pd(acc_hi, _mm256_mul_pd(_mm256_loadu_pd(col + 4), q));
     }
-    _mm256_storeu_pd(out, acc_lo);
-    _mm256_storeu_pd(out + 4, acc_hi);
-  }
-
-  void ScoreBlockInt8(const int8_t* panel, const double* scales,
-                      const double* query, size_t dims,
-                      double* out) const override {
-    __m256d acc_lo = _mm256_setzero_pd();
-    __m256d acc_hi = _mm256_setzero_pd();
-    for (size_t d = 0; d < dims; ++d) {
-      // 8 codes -> 8 x int32 -> 2 x 4 doubles.
-      const __m128i codes = _mm_loadl_epi64(
-          reinterpret_cast<const __m128i*>(panel + d * kPanelWidth));
-      const __m256i wide = _mm256_cvtepi8_epi32(codes);
-      const __m256d lo = _mm256_cvtepi32_pd(_mm256_castsi256_si128(wide));
-      const __m256d hi = _mm256_cvtepi32_pd(_mm256_extracti128_si256(wide, 1));
-      const __m256d q = _mm256_set1_pd(query[d]);
-      acc_lo = _mm256_add_pd(acc_lo, _mm256_mul_pd(lo, q));
-      acc_hi = _mm256_add_pd(acc_hi, _mm256_mul_pd(hi, q));
-    }
-    acc_lo = _mm256_mul_pd(acc_lo, _mm256_loadu_pd(scales));
-    acc_hi = _mm256_mul_pd(acc_hi, _mm256_loadu_pd(scales + 4));
     _mm256_storeu_pd(out, acc_lo);
     _mm256_storeu_pd(out + 4, acc_hi);
   }

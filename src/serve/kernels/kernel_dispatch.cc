@@ -15,14 +15,11 @@ namespace crowdselect::serve::kernels {
 const ScoreKernel& DispatchScoreKernel(bool force_scalar) {
   if (force_scalar || ScalarKernelForced()) return ScalarScoreKernel();
   if (const ScoreKernel* avx2 = Avx2ScoreKernelOrNull()) return *avx2;
-  if (const ScoreKernel* neon = NeonScoreKernelOrNull()) return *neon;
   return ScalarScoreKernel();
 }
 
 uint64_t ScoreKernelOrdinal(const ScoreKernel& kernel) {
-  if (std::strcmp(kernel.id(), "avx2") == 0) return 1;
-  if (std::strcmp(kernel.id(), "neon") == 0) return 2;
-  return 0;
+  return std::strcmp(kernel.id(), "avx2") == 0 ? 1 : 0;
 }
 
 }  // namespace crowdselect::serve::kernels

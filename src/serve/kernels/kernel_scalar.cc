@@ -25,20 +25,6 @@ class ScalarKernel final : public ScoreKernel {
     }
     for (size_t l = 0; l < kPanelWidth; ++l) out[l] = acc[l];
   }
-
-  void ScoreBlockInt8(const int8_t* panel, const double* scales,
-                      const double* query, size_t dims,
-                      double* out) const override {
-    double acc[kPanelWidth] = {0.0};
-    for (size_t d = 0; d < dims; ++d) {
-      const int8_t* col = panel + d * kPanelWidth;
-      const double q = query[d];
-      for (size_t l = 0; l < kPanelWidth; ++l) {
-        acc[l] = acc[l] + static_cast<double>(col[l]) * q;
-      }
-    }
-    for (size_t l = 0; l < kPanelWidth; ++l) out[l] = scales[l] * acc[l];
-  }
 };
 
 }  // namespace

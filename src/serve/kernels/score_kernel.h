@@ -11,8 +11,8 @@
 //   panel[d * W + l] = skills(first_worker + l, d)
 //
 // i.e. dimension-major, worker-interleaved. Workers past the pool size
-// pad the last panel with zeros (their scale is 0 in the int8 variant);
-// callers must clamp emitted lanes to the real pool.
+// pad the last panel with zeros; callers must clamp emitted lanes to the
+// real pool.
 //
 // Determinism contract: every kernel computes, for each lane l,
 //
@@ -25,16 +25,6 @@
 // compile with -ffp-contract=off to stop the compiler re-fusing the
 // chain). That makes kernel choice invisible to ranking, EXPLAIN, and
 // tests: the scalar kernel IS the specification.
-//
-// The int8 variant stores per-worker symmetric codes
-// (code = round(v / scale), scale = max|row| / 127) and scores
-//
-//   out[l] = scale[l] * sum_d double(code[d*W+l]) * query[d]
-//
-// with the same sequential chain, so int8 scores are also bitwise
-// identical across kernels. int8 is an approximation (|v - code*scale|
-// <= scale/2 per entry); the engine rescores the top k*oversample
-// candidates with the full-precision chain before the final merge.
 #ifndef CROWDSELECT_SERVE_KERNELS_SCORE_KERNEL_H_
 #define CROWDSELECT_SERVE_KERNELS_SCORE_KERNEL_H_
 
@@ -47,7 +37,7 @@
 namespace crowdselect::serve::kernels {
 
 /// Workers per panel. 8 doubles = one cache line per dimension, two
-/// 256-bit AVX2 vectors, four 128-bit NEON vectors.
+/// 256-bit AVX2 vectors.
 inline constexpr size_t kPanelWidth = 8;
 
 /// Bumped whenever the physical panel encoding changes; folded into
@@ -56,8 +46,7 @@ inline constexpr size_t kPanelWidth = 8;
 inline constexpr uint32_t kLayoutVersion = 1;
 
 /// The blocked, SIMD-friendly snapshot representation: full-precision
-/// panels plus the int8 quantized variant (codes + per-worker scales),
-/// both built once from the row-major matrix. Immutable in serving;
+/// panels built once from the row-major matrix. Immutable in serving;
 /// ReencodeRow exists for the copy-on-write live-update path, which
 /// mutates a fresh copy before it is published.
 class BlockedPanels {
@@ -75,32 +64,16 @@ class BlockedPanels {
   const double* PanelFp(size_t p) const {
     return fp_.data() + p * dims_ * kPanelWidth;
   }
-  /// int8 panel p (dims() * kPanelWidth codes).
-  const int8_t* PanelQ8(size_t p) const {
-    return q8_.data() + p * dims_ * kPanelWidth;
-  }
-  /// Per-lane dequantization scales of panel p (kPanelWidth doubles;
-  /// padded lanes are 0).
-  const double* PanelScales(size_t p) const {
-    return scales_.data() + p * kPanelWidth;
-  }
-  /// Worker w's dequantization scale.
-  double scale(size_t w) const { return scales_[w]; }
-
-  /// Overwrites worker w's lane from `row` (dims() doubles): the
-  /// full-precision lane and the int8 codes + scale are both re-encoded.
-  /// Used by SkillMatrixSnapshot::WithUpdatedRows on its private copy.
+  /// Overwrites worker w's lane from `row` (dims() doubles). Used by
+  /// SkillMatrixSnapshot::WithUpdatedRows on its private copy.
   void ReencodeRow(size_t w, const double* row);
 
   /// Full-precision score of one worker, computed with the exact
   /// multiply-then-add chain the kernels use — bitwise identical to the
-  /// lane a kernel would produce. This is the sparse-candidate path and
-  /// the int8 rescore path. Defined in blocked_layout.cc (compiled with
-  /// -ffp-contract=off) so the chain is never fused.
+  /// lane a kernel would produce. This is the sparse-candidate path.
+  /// Defined in blocked_layout.cc (compiled with -ffp-contract=off) so
+  /// the chain is never fused.
   double LaneScore(size_t w, const double* query) const;
-
-  /// int8 approximate score of one worker, same chain as ScoreBlockInt8.
-  double LaneScoreInt8(size_t w, const double* query) const;
 
   /// Fingerprint of the physical layout (version, panel width, dims):
   /// mixed into cache namespaces so entries written under a different
@@ -111,9 +84,7 @@ class BlockedPanels {
   size_t num_workers_ = 0;
   size_t dims_ = 0;
   size_t num_panels_ = 0;
-  std::vector<double> fp_;      ///< num_panels * dims * kPanelWidth.
-  std::vector<int8_t> q8_;      ///< num_panels * dims * kPanelWidth.
-  std::vector<double> scales_;  ///< num_panels * kPanelWidth.
+  std::vector<double> fp_;  ///< num_panels * dims * kPanelWidth.
 };
 
 /// A scoring kernel: scores one panel (kPanelWidth workers) against a
@@ -124,19 +95,13 @@ class ScoreKernel {
   virtual ~ScoreKernel() = default;
 
   /// Stable identifier surfaced in EXPLAIN, metrics, and the flight
-  /// recorder: "scalar", "avx2", or "neon".
+  /// recorder: "scalar" or "avx2".
   virtual const char* id() const = 0;
 
   /// out[l] = full-precision score of the panel's lane l (all
   /// kPanelWidth lanes written, padded lanes included).
   virtual void ScoreBlock(const double* panel, const double* query,
                           size_t dims, double* out) const = 0;
-
-  /// out[l] = scales[l] * sum_d double(panel[d*W+l]) * query[d] — the
-  /// int8 approximate score, same determinism contract.
-  virtual void ScoreBlockInt8(const int8_t* panel, const double* scales,
-                              const double* query, size_t dims,
-                              double* out) const = 0;
 };
 
 /// The scalar reference kernel (always available; the specification the
@@ -147,16 +112,13 @@ const ScoreKernel& ScalarScoreKernel();
 /// lacks AVX2.
 const ScoreKernel* Avx2ScoreKernelOrNull();
 
-/// NEON kernel, or nullptr off aarch64.
-const ScoreKernel* NeonScoreKernelOrNull();
-
 /// Runtime dispatch: the fastest kernel this CPU supports, unless
 /// `force_scalar` or the CROWDSELECT_FORCE_SCALAR environment variable
 /// pins the scalar reference. Never returns null.
 const ScoreKernel& DispatchScoreKernel(bool force_scalar = false);
 
 /// Ordinal used where a numeric id is needed (gauges, flight events):
-/// scalar = 0, avx2 = 1, neon = 2.
+/// scalar = 0, avx2 = 1.
 uint64_t ScoreKernelOrdinal(const ScoreKernel& kernel);
 
 }  // namespace crowdselect::serve::kernels

@@ -33,17 +33,7 @@ std::string QueryStats::ToJson() const {
            "\", \"chosen_model\": \"" + JsonEscape(route.chosen_model) +
            "\", \"similarity\": " + Num(route.similarity) +
            ", \"margin\": " + Num(route.margin) +
-           ", \"fallback\": " + Bool(route.fallback);
-    if (!route.ensemble_weights.empty()) {
-      out += ", \"ensemble_weights\": {";
-      for (size_t i = 0; i < route.ensemble_weights.size(); ++i) {
-        if (i > 0) out += ", ";
-        out += "\"" + JsonEscape(route.ensemble_weights[i].first) +
-               "\": " + Num(route.ensemble_weights[i].second);
-      }
-      out += "}";
-    }
-    out += "},\n";
+           ", \"fallback\": " + Bool(route.fallback) + "},\n";
   } else {
     out += "  \"route\": null,\n";
   }
@@ -54,10 +44,7 @@ std::string QueryStats::ToJson() const {
          ", \"k\": " + std::to_string(k) +
          ", \"parallel_scan\": " + Bool(parallel_scan) + "},\n";
   if (!kernel_id.empty()) {
-    out += "  \"kernel\": {\"id\": \"" + JsonEscape(kernel_id) +
-           "\", \"quant\": \"" + JsonEscape(quant) +
-           "\", \"oversample\": " + std::to_string(oversample) +
-           ", \"rescored\": " + std::to_string(rescored) + "},\n";
+    out += "  \"kernel\": {\"id\": \"" + JsonEscape(kernel_id) + "\"},\n";
   } else {
     out += "  \"kernel\": null,\n";
   }
@@ -106,15 +93,6 @@ std::string QueryStats::ToText(size_t top_terms) const {
           route.mode.c_str(), route.chosen_model.c_str(), route.similarity,
           route.margin);
     }
-    if (!route.ensemble_weights.empty()) {
-      out += "  ensemble    ";
-      for (size_t i = 0; i < route.ensemble_weights.size(); ++i) {
-        if (i > 0) out += ", ";
-        out += StringPrintf("%s:%.3f", route.ensemble_weights[i].first.c_str(),
-                            route.ensemble_weights[i].second);
-      }
-      out += "\n";
-    }
   }
   out += StringPrintf("  snapshot    version %llu (%zu workers x %zu categories)\n",
                       static_cast<unsigned long long>(snapshot_version),
@@ -134,13 +112,7 @@ std::string QueryStats::ToText(size_t top_terms) const {
                       parallel_scan ? "blocked parallel" : "inline",
                       num_candidates, scan_us);
   if (!kernel_id.empty()) {
-    out += StringPrintf("  kernel      kernel=%s, quant=%s", kernel_id.c_str(),
-                        quant.c_str());
-    if (quant == "int8") {
-      out += StringPrintf(", oversample=%zu (rescored %zu in fp64)",
-                          oversample, rescored);
-    }
-    out += "\n";
+    out += StringPrintf("  kernel      kernel=%s\n", kernel_id.c_str());
   }
   out += StringPrintf("  total       %.1f us\n", total_us);
   out += "  ranking (score = w_i . c_j):\n";

@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "crowddb/selector_interface.h"
@@ -36,8 +35,8 @@ struct CandidateBreakdown {
 /// (`routed == false`) for queries served by a single model directly.
 struct RouteStats {
   bool routed = false;
-  std::string mode;          ///< "fixed", "similarity", or "ensemble".
-  std::string chosen_model;  ///< Registry id of the model that served.
+  std::string mode;          ///< "fixed" or "similarity".
+  std::string chosen_model;  ///< Label of the member that served ("tdpm:0").
   /// Cosine similarity of the task against the chosen model's centroid,
   /// and its lead over the runner-up centroid.
   double similarity = 0.0;
@@ -45,16 +44,13 @@ struct RouteStats {
   /// True when the task matched no centroid (empty bag / zero overlap)
   /// and the router fell back to its fixed default model.
   bool fallback = false;
-  /// Ensemble mode only: per-member reciprocal-rank-fusion weights,
-  /// in member order.
-  std::vector<std::pair<std::string, double>> ensemble_weights;
 };
 
 /// Everything the serving path recorded for one query.
 struct QueryStats {
   // --- Serving model -------------------------------------------------------
-  /// Registry id of the model whose engine ranked this query ("tdpm",
-  /// "dawid_skene", ...). Filled by the engine from its configured id.
+  /// Model that ranked this query: "tdpm" from the engine, or the
+  /// router member's label ("tdpm:0", ...) when a router dispatched it.
   std::string serving_model;
   /// Router dispatch decision, when a router sat in front of the model.
   RouteStats route;
@@ -68,18 +64,11 @@ struct QueryStats {
   bool parallel_scan = false; ///< Blocked pool scan vs. inline scan.
 
   // --- Score kernel --------------------------------------------------------
-  /// ScoreKernel the engine dispatched at construction ("scalar",
-  /// "avx2", "neon"). Set for every snapshot-backed query, including
-  /// sparse ones (the sparse path scores through the kernel's lane
-  /// chain, so the id still names the arithmetic that ran).
+  /// ScoreKernel the engine dispatched at construction ("scalar" or
+  /// "avx2"). Set for every snapshot-backed query, including sparse ones
+  /// (the sparse path scores through the kernel's lane chain, so the id
+  /// still names the arithmetic that ran).
   std::string kernel_id;
-  /// Snapshot variant the scan streamed: "fp64", or "int8" when the
-  /// quantized phase-1 scan + full-precision rescore served the query.
-  std::string quant;
-  /// int8 only: phase-1 candidate multiplier (0 when quant == "fp64").
-  size_t oversample = 0;
-  /// int8 only: candidates rescored with the full-precision chain.
-  size_t rescored = 0;
 
   // --- Fold-in -------------------------------------------------------------
   bool used_foldin = false;   ///< False for RankByCategory-style queries.

@@ -1,7 +1,6 @@
 #include "serve/router.h"
 
 #include <algorithm>
-#include <cmath>
 #include <unordered_map>
 
 #include "obs/flight_recorder.h"
@@ -16,14 +15,12 @@ namespace {
 struct RouterCounters {
   obs::Counter* dispatches;
   obs::Counter* fallbacks;
-  obs::Counter* ensemble_queries;
 };
 
 RouterCounters& Counters() {
   static RouterCounters counters{
       obs::MetricsRegistry::Global().GetCounter("router.dispatch"),
-      obs::MetricsRegistry::Global().GetCounter("router.fallback"),
-      obs::MetricsRegistry::Global().GetCounter("router.ensemble.queries")};
+      obs::MetricsRegistry::Global().GetCounter("router.fallback")};
   return counters;
 }
 
@@ -33,7 +30,6 @@ const char* RouteModeName(RouteMode mode) {
   switch (mode) {
     case RouteMode::kFixed: return "fixed";
     case RouteMode::kSimilarity: return "similarity";
-    case RouteMode::kEnsemble: return "ensemble";
   }
   return "unknown";
 }
@@ -59,7 +55,7 @@ Status TaskTypeRouter::Train(const CrowdDatabase& db) {
   }
 
   // Fit one centroid per member over the corpus term vectors; dispatch
-  // and ensemble weighting both read these.
+  // reads these.
   std::vector<BagOfWords> bags;
   bags.reserve(db.NumTasks());
   for (const TaskRecord& t : db.tasks()) bags.push_back(t.bag);
@@ -121,17 +117,14 @@ Status TaskTypeRouter::Train(const CrowdDatabase& db) {
 
 RouteDecision TaskTypeRouter::Route(const BagOfWords& task) const {
   RouteDecision d;
-  d.weights.assign(members_.size(), 0.0);
   if (options_.mode == RouteMode::kFixed || members_.size() == 1) {
     d.member = fixed_member_;
-    d.weights[d.member] = 1.0;
     d.model = members_[d.member].label;
     return d;
   }
   const std::vector<double> sims = centroids_.Similarities(task);
   size_t best = 0;
   double best_sim = -2.0, second = -2.0;
-  double positive_sum = 0.0;
   for (size_t m = 0; m < members_.size(); ++m) {
     const double s = m < sims.size() ? sims[m] : 0.0;
     if (s > best_sim) {
@@ -141,25 +134,15 @@ RouteDecision TaskTypeRouter::Route(const BagOfWords& task) const {
     } else if (s > second) {
       second = s;
     }
-    if (s > 0.0) {
-      const double sharpened = std::pow(s, options_.ensemble_gamma);
-      d.weights[m] = sharpened;
-      positive_sum += sharpened;
-    }
   }
   if (best_sim <= 0.0) {
-    // No vocabulary overlap with any centroid: fixed fallback, uniform
-    // ensemble weights.
+    // No vocabulary overlap with any centroid: fixed fallback.
     d.member = fixed_member_;
     d.fallback = true;
-    d.similarity = 0.0;
-    d.margin = 0.0;
-    d.weights.assign(members_.size(), 1.0 / members_.size());
   } else {
     d.member = best;
     d.similarity = best_sim;
     d.margin = best_sim - std::max(second, 0.0);
-    for (double& w : d.weights) w /= positive_sum;
   }
   d.model = members_[d.member].label;
   return d;
@@ -186,13 +169,6 @@ void TaskTypeRouter::FillRouteStats(const RouteDecision& decision,
   stats->route.similarity = decision.similarity;
   stats->route.margin = decision.margin;
   stats->route.fallback = decision.fallback;
-  if (options_.mode == RouteMode::kEnsemble) {
-    stats->route.ensemble_weights.clear();
-    for (size_t m = 0; m < members_.size(); ++m) {
-      stats->route.ensemble_weights.emplace_back(members_[m].label,
-                                                 decision.weights[m]);
-    }
-  }
 }
 
 Result<std::vector<RankedWorker>> TaskTypeRouter::SelectTopKExplained(
@@ -201,58 +177,11 @@ Result<std::vector<RankedWorker>> TaskTypeRouter::SelectTopKExplained(
   if (!trained_) return Status::FailedPrecondition("router not trained");
   const RouteDecision decision = Route(task);
   RecordDecision(decision);
-  if (options_.mode == RouteMode::kEnsemble) {
-    return SelectEnsemble(task, k, candidates, decision, stats);
-  }
   CS_ASSIGN_OR_RETURN(
       std::vector<RankedWorker> ranked,
       members_[decision.member].model->SelectTopKExplained(task, k, candidates,
                                                            stats));
   FillRouteStats(decision, stats);
-  return ranked;
-}
-
-Result<std::vector<RankedWorker>> TaskTypeRouter::SelectEnsemble(
-    const BagOfWords& task, size_t k, const std::vector<WorkerId>& candidates,
-    const RouteDecision& decision, serve::QueryStats* stats) const {
-  Counters().ensemble_queries->Increment();
-  // Reciprocal-rank fusion over each member's *full* ranking of the
-  // candidate set: fused(w) = sum_m weight_m / (rrf_k + rank_m(w)).
-  // Rank positions (not raw scores) make the blend scale-free across
-  // heterogeneous member models.
-  std::unordered_map<WorkerId, double> fused;
-  fused.reserve(candidates.size());
-  for (size_t m = 0; m < members_.size(); ++m) {
-    if (decision.weights[m] <= 0.0) continue;
-    CS_ASSIGN_OR_RETURN(std::vector<RankedWorker> ranked,
-                        members_[m].model->SelectTopKExplained(
-                            task, candidates.size(), candidates, nullptr));
-    for (size_t rank = 0; rank < ranked.size(); ++rank) {
-      fused[ranked[rank].worker] +=
-          decision.weights[m] / (options_.rrf_k + static_cast<double>(rank) + 1.0);
-    }
-  }
-  TopKAccumulator acc(k);
-  for (WorkerId w : candidates) {
-    auto it = fused.find(w);
-    acc.Offer(w, it != fused.end() ? it->second : 0.0);
-  }
-  std::vector<RankedWorker> ranked = acc.Take();
-  if (stats != nullptr) {
-    stats->num_candidates = candidates.size();
-    stats->k = k;
-    FillRouteStats(decision, stats);
-    stats->serving_model = ModelId();
-    stats->breakdown.clear();
-    stats->breakdown.reserve(ranked.size());
-    for (size_t i = 0; i < ranked.size(); ++i) {
-      serve::CandidateBreakdown c;
-      c.worker = ranked[i].worker;
-      c.score = ranked[i].score;
-      if (i + 1 < ranked.size()) c.margin = c.score - ranked[i + 1].score;
-      stats->breakdown.push_back(std::move(c));
-    }
-  }
   return ranked;
 }
 
@@ -266,13 +195,6 @@ Status TaskTypeRouter::ObserveResolvedTask(
     const BagOfWords& task,
     const std::vector<std::pair<WorkerId, double>>& scored) {
   if (!trained_) return Status::FailedPrecondition("router not trained");
-  if (options_.mode == RouteMode::kEnsemble) {
-    // Every member serves ensemble queries, so every member learns.
-    for (Member& member : members_) {
-      CS_RETURN_NOT_OK(member.model->ObserveResolvedTask(task, scored));
-    }
-    return Status::OK();
-  }
   const RouteDecision decision = Route(task);
   RecordDecision(decision);
   return members_[decision.member].model->ObserveResolvedTask(task, scored);

@@ -1,11 +1,10 @@
 // Task-type query router: a CrowdModel composed of member CrowdModels,
 // dispatching each query to the member whose task-type centroid is most
 // similar to the incoming task (cosine over term vectors), with a
-// fixed-member fallback for tasks that match no centroid, and an
-// ensemble mode that blends every member's ranking with reciprocal-rank
-// fusion. Training can partition the corpus by task type so each member
-// specializes — a global skill matrix underfits heterogeneous task
-// mixes, which is the whole reason this layer exists.
+// fixed-member fallback for tasks that match no centroid. Training can
+// partition the corpus by task type so each member specializes — a
+// global skill matrix underfits heterogeneous task mixes, which is the
+// whole reason this layer exists.
 //
 // Observability: every dispatch lands in `router.*` metrics, a
 // kRouteDecision flight-recorder event, and (when the caller passes
@@ -27,23 +26,12 @@ namespace crowdselect::serve {
 enum class RouteMode {
   kFixed,       ///< Always the fixed member (fallback target).
   kSimilarity,  ///< Best centroid by cosine similarity.
-  kEnsemble,    ///< Blend all members by similarity-weighted RRF.
 };
 
 const char* RouteModeName(RouteMode mode);
 
 struct RouterOptions {
   RouteMode mode = RouteMode::kSimilarity;
-  /// Reciprocal-rank-fusion constant: fused(w) = sum_m weight_m /
-  /// (rrf_k + rank_m(w)). The classic 60 keeps deep ranks relevant.
-  double rrf_k = 60.0;
-  /// Weight-sharpening exponent: member weights are proportional to
-  /// similarity^gamma. Shared vocabulary keeps raw cosine similarities
-  /// close together (a type-0 task still scores ~0.5 against the other
-  /// centroids), so unsharpened weights let off-type members dilute the
-  /// blend; gamma > 1 concentrates mass on the well-matched members
-  /// while keeping a graded contribution from the rest.
-  double ensemble_gamma = 4.0;
   /// Partition the training corpus by task type, one cluster per member
   /// (members then specialize). When false every member trains on the
   /// full database and only dispatch differs.
@@ -58,8 +46,6 @@ struct RouteDecision {
   double similarity = 0.0;
   double margin = 0.0;  ///< Lead over the runner-up centroid.
   bool fallback = false;
-  /// Normalized per-member similarities (ensemble weights).
-  std::vector<double> weights;
 };
 
 /// The router. Add members (in dispatch order) before Train().
@@ -78,12 +64,8 @@ class TaskTypeRouter : public CrowdModel {
   /// The member served when routing falls back (and the kFixed target).
   void set_fixed_member(size_t index) { fixed_member_ = index; }
 
-  std::string Name() const override {
-    return options_.mode == RouteMode::kEnsemble ? "Ensemble" : "Router";
-  }
-  std::string ModelId() const override {
-    return options_.mode == RouteMode::kEnsemble ? "ensemble" : "router";
-  }
+  std::string Name() const override { return "Router"; }
+  std::string ModelId() const override { return "router"; }
 
   /// Trains the members. With partition_training and >1 member, the
   /// resolved tasks are clustered into num_members() types (spherical
@@ -92,7 +74,7 @@ class TaskTypeRouter : public CrowdModel {
   /// worker ids stay global); a cluster with no scored assignments falls
   /// back to the full database. Member centroids come from the
   /// clustering. Without partitioning, every member trains on `db` and
-  /// centroids are still fitted for dispatch/weighting.
+  /// centroids are still fitted for dispatch.
   Status Train(const CrowdDatabase& db) override;
 
   /// Dispatch decision for a task (no query executed).
@@ -103,11 +85,10 @@ class TaskTypeRouter : public CrowdModel {
       const std::vector<WorkerId>& candidates,
       serve::QueryStats* stats) const override;
 
-  /// Folds the task in through the routed member's projector.
+  /// Folds the task in through the routed member's fold-in.
   Result<FoldInResult> FoldInTask(const BagOfWords& task) const override;
 
-  /// Forwards feedback to the routed member (similarity / fixed modes)
-  /// or to every member (ensemble mode, since all of them serve).
+  /// Forwards feedback to the member the task routes to.
   Status ObserveResolvedTask(
       const BagOfWords& task,
       const std::vector<std::pair<WorkerId, double>>& scored) override;
@@ -129,10 +110,6 @@ class TaskTypeRouter : public CrowdModel {
     std::unique_ptr<CrowdModel> model;
   };
 
-  Result<std::vector<RankedWorker>> SelectEnsemble(
-      const BagOfWords& task, size_t k,
-      const std::vector<WorkerId>& candidates, const RouteDecision& decision,
-      serve::QueryStats* stats) const;
   void FillRouteStats(const RouteDecision& decision,
                       serve::QueryStats* stats) const;
   void RecordDecision(const RouteDecision& decision) const;

@@ -32,30 +32,22 @@ void SelectionEngine::PublishSnapshot(
                                        flight_name, version, 0);
 }
 
-void SelectionEngine::SetProjector(
-    std::unique_ptr<const TaskProjector> projector,
-    const std::string& model_id) {
-  projector_ = std::move(projector);
-  model_id_ = model_id;
-  // New projector, new namespace: even if a stale entry survived the
+void SelectionEngine::SetFolder(TaskFolder folder) {
+  folder_ = std::move(folder);
+  // New folder, new namespace: even if a stale entry survived the
   // Clear() below (it cannot today — initialization is single-threaded —
   // but the namespace makes that invariant structural), its key can no
   // longer match.
-  ++projector_generation_;
-  // Layout + quantization generation rides in the namespace too: an
-  // entry written under a different panel encoding or a different
-  // scan-quantization configuration can never be looked up, even if a
-  // serialized cache from an older build were ever replayed.
-  const uint64_t layout_salt =
-      (uint64_t{kernels::kLayoutVersion} << 40) ^
-      (uint64_t{kernels::kPanelWidth} << 32) ^
-      (static_cast<uint64_t>(options_.quant) << 16) ^
-      static_cast<uint64_t>(options_.oversample);
-  cache_namespace_ = HashModelId(model_id_) ^
-                     (projector_generation_ * 0x9E3779B97F4A7C15ULL) ^
+  ++folder_generation_;
+  // The panel layout generation rides in the namespace too: an entry
+  // written under a different panel encoding can never be looked up,
+  // even if a serialized cache from an older build were ever replayed.
+  const uint64_t layout_salt = (uint64_t{kernels::kLayoutVersion} << 40) ^
+                               (uint64_t{kernels::kPanelWidth} << 32);
+  cache_namespace_ = (folder_generation_ * 0x9E3779B97F4A7C15ULL) ^
                      (layout_salt * 0xC2B2AE3D27D4EB4FULL);
   // Cached posteriors belong to the previous model; a retrained or
-  // replaced projector must never serve them.
+  // replaced folder must never serve them.
   cache_->Clear();
 }
 
@@ -81,23 +73,23 @@ Status ValidateCandidates(const std::vector<WorkerId>& candidates,
 Result<FoldInResult> SelectionEngine::Project(const BagOfWords& task,
                                               Rng* rng,
                                               QueryStats* stats) const {
-  if (projector_ == nullptr) {
-    return Status::FailedPrecondition("engine has no fold-in projector");
+  if (!folder_.has_value()) {
+    return Status::FailedPrecondition("engine has no fold-in folder");
   }
   FoldInResult projected;
   const uint64_t key = HashBag(task);
   const bool hit = cache_->Lookup(cache_namespace_, key, &projected);
   if (!hit) {
-    projected = projector_->Posterior(task);
+    projected = folder_->Posterior(task);
     cache_->Insert(cache_namespace_, key, projected);
   }
-  projector_->FinalizeCategory(&projected, rng);
+  folder_->FinalizeCategory(&projected, rng);
   if (stats != nullptr) {
     stats->used_foldin = true;
     stats->cache_hit = hit;
     stats->cg_iterations = projected.cg_iterations;
     stats->cg_residual = projected.cg_residual;
-    stats->sampled_category = projector_->samples_category() && rng != nullptr;
+    stats->sampled_category = folder_->samples_category() && rng != nullptr;
   }
   return projected;
 }
@@ -143,8 +135,8 @@ Result<std::vector<RankedWorker>> SelectionEngine::SelectTopK(
   if (snap == nullptr) {
     return Status::FailedPrecondition("no skill snapshot published");
   }
-  if (projector_ == nullptr) {
-    return Status::FailedPrecondition("engine has no fold-in projector");
+  if (!folder_.has_value()) {
+    return Status::FailedPrecondition("engine has no fold-in folder");
   }
   // Validation precedes the fold-in and the query meter, so malformed
   // queries are rejected cheaply and never show up as half-served.
@@ -161,7 +153,7 @@ Result<std::vector<RankedWorker>> SelectionEngine::SelectTopK(
   Timer total_timer;
   queries->Increment();
   if (stats != nullptr) {
-    stats->serving_model = model_id_;
+    stats->serving_model = "tdpm";
     stats->snapshot_version = snap->version();
     stats->num_workers = snap->num_workers();
     stats->num_categories = snap->num_categories();
@@ -229,51 +221,18 @@ std::vector<RankedWorker> SelectionEngine::ScanSnapshot(
   // first k entries byte-identical to a plain k-scan.
   const size_t scan_k =
       (stats != nullptr && k < candidates.size()) ? k + 1 : k;
-  const bool dense = IsDenseRange(candidates);
-  // int8 pays off only on bandwidth-bound dense streams; sparse subsets
-  // are gather-bound and always score full precision.
-  const bool int8 = dense && options_.quant == ScanQuant::kInt8;
-  size_t rescored = 0;
   std::vector<RankedWorker> ranked;
-  if (dense) {
+  if (IsDenseRange(candidates)) {
     static obs::Counter* scans =
         obs::MetricsRegistry::Global().GetCounter("serve.kernel.scans");
-    static obs::Counter* scans_int8 =
-        obs::MetricsRegistry::Global().GetCounter("serve.kernel.scans.int8");
-    static obs::Counter* rescore_counter =
-        obs::MetricsRegistry::Global().GetCounter("serve.kernel.rescored");
     static const uint16_t kernel_flight_name =
         obs::FlightRecorder::Global().InternName("serve.scan.kernel");
     obs::FlightRecorder::Global().Record(
         obs::FlightEventType::kKernelScan, kernel_flight_name,
-        kernels::ScoreKernelOrdinal(*kernel_),
-        static_cast<uint64_t>(options_.quant));
+        kernels::ScoreKernelOrdinal(*kernel_), candidates.size());
     scans->Increment();
-    const WorkerId first = candidates.front();
-    const size_t count = candidates.size();
-    if (int8) {
-      scans_int8->Increment();
-      // Phase 1: approximate int8 scan, keeping enough extra ranks that
-      // the exact winners survive the quantization error (<= scale/2
-      // per matrix entry).
-      const size_t phase1_k =
-          std::min(count, std::max(scan_k, k * options_.oversample));
-      std::vector<RankedWorker> approx =
-          ScanPanels(snap, cat, phase1_k, first, count, /*int8_phase=*/true);
-      // Phase 2: rescore the survivors with the full-precision lane
-      // chain (bitwise the fp64 panel scan's arithmetic) and re-rank.
-      const kernels::BlockedPanels& panels = snap.panels();
-      TopKAccumulator exact(scan_k);
-      for (const RankedWorker& rw : approx) {
-        exact.Offer(rw.worker, panels.LaneScore(rw.worker, cat));
-      }
-      rescored = approx.size();
-      rescore_counter->Increment(rescored);
-      ranked = exact.Take();
-    } else {
-      ranked = ScanPanels(snap, cat, scan_k, first, count,
-                          /*int8_phase=*/false);
-    }
+    ranked = ScanPanels(snap, cat, scan_k, candidates.front(),
+                        candidates.size());
   } else {
     const kernels::BlockedPanels& panels = snap.panels();
     ranked = RankImpl(scan_k, candidates, [&panels, cat](WorkerId w) {
@@ -284,9 +243,6 @@ std::vector<RankedWorker> SelectionEngine::ScanSnapshot(
     stats->parallel_scan =
         candidates.size() >= options_.min_parallel_candidates;
     stats->kernel_id = kernel_->id();
-    stats->quant = int8 ? "int8" : "fp64";
-    stats->oversample = int8 ? options_.oversample : 0;
-    stats->rescored = rescored;
     if (ranked.size() > k) {
       stats->has_cutoff = true;
       stats->cutoff_score = ranked[k].score;
@@ -298,7 +254,7 @@ std::vector<RankedWorker> SelectionEngine::ScanSnapshot(
 
 std::vector<RankedWorker> SelectionEngine::ScanPanels(
     const SkillMatrixSnapshot& snap, const double* query, size_t k,
-    WorkerId first, size_t count, bool int8_phase) const {
+    WorkerId first, size_t count) const {
   if (count == 0) return {};
   const kernels::BlockedPanels& panels = snap.panels();
   const size_t dims = panels.dims();
@@ -312,12 +268,7 @@ std::vector<RankedWorker> SelectionEngine::ScanPanels(
   // exceed the pool.
   const auto scan_panel = [&](size_t p, TopKAccumulator* acc) {
     double out[kernels::kPanelWidth];
-    if (int8_phase) {
-      kernel.ScoreBlockInt8(panels.PanelQ8(p), panels.PanelScales(p), query,
-                            dims, out);
-    } else {
-      kernel.ScoreBlock(panels.PanelFp(p), query, dims, out);
-    }
+    kernel.ScoreBlock(panels.PanelFp(p), query, dims, out);
     const size_t base = p * kernels::kPanelWidth;
     for (size_t l = 0; l < kernels::kPanelWidth; ++l) {
       const size_t w = base + l;

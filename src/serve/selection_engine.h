@@ -6,31 +6,23 @@
 //
 // The scan itself is a SIMD-dispatched ScoreKernel (serve/kernels/):
 // dense candidate ranges stream the snapshot's column panels through
-// the scalar / AVX2 / NEON kernel picked at engine construction, with
-// an optional int8 phase-1 scan + full-precision rescore
-// (ServeOptions::quant). Kernel choice never changes a ranking — every
-// kernel computes the bitwise-identical lane chain (see
-// serve/kernels/score_kernel.h for the determinism contract).
-//
-// The engine is model-agnostic: the fold-in step goes through the
-// TaskProjector seam (serve/task_projector.h), so TDPM's CG fold-in and
-// the Dawid-Skene type-similarity projection serve through the same
-// cache, scan, and EXPLAIN machinery.
+// the scalar or AVX2 kernel picked at engine construction. Kernel
+// choice never changes a ranking — every kernel computes the
+// bitwise-identical lane chain (see serve/kernels/score_kernel.h for
+// the determinism contract).
 //
 // Threading model: any number of query threads may call SelectTopK /
 // RankByCategory / RankWithScore concurrently; one updater thread may
 // concurrently PublishSnapshot(). Queries pin the snapshot they acquired,
-// so a publish never invalidates an in-flight scan. SetProjector() /
-// SetFolder() are initialization, not serving — call them before queries
-// start.
+// so a publish never invalidates an in-flight scan. SetFolder() is
+// initialization, not serving — call it before queries start.
 #ifndef CROWDSELECT_SERVE_SELECTION_ENGINE_H_
 #define CROWDSELECT_SERVE_SELECTION_ENGINE_H_
 
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <string>
-#include <utility>
+#include <optional>
 #include <vector>
 
 #include "crowddb/selector_interface.h"
@@ -38,21 +30,10 @@
 #include "serve/foldin_cache.h"
 #include "serve/query_stats.h"
 #include "serve/skill_matrix.h"
-#include "serve/task_projector.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace crowdselect::serve {
-
-/// Which snapshot variant the dense scan streams.
-enum class ScanQuant {
-  /// Full-precision (fp64) blocked panels; scores are exact.
-  kFp64 = 0,
-  /// int8 symmetric per-worker codes for the phase-1 scan, then the top
-  /// k * oversample candidates rescored with the full-precision chain
-  /// before the final merge. 8x less memory traffic on the hot scan.
-  kInt8 = 1,
-};
 
 /// Serving knobs, orthogonal to the model's TdpmOptions.
 struct ServeOptions {
@@ -72,14 +53,6 @@ struct ServeOptions {
   /// query open longer than this is reported as a stall. Armed only
   /// while obs::Watchdog::Global() is running; <= 0 disables arming.
   double select_deadline_ms = 1000.0;
-  /// Snapshot variant for dense full-pool scans. Sparse candidate
-  /// subsets always score full-precision (they are gather-bound, not
-  /// bandwidth-bound, so int8 buys nothing there).
-  ScanQuant quant = ScanQuant::kFp64;
-  /// int8 only: phase-1 candidate multiplier. The top k * oversample
-  /// approximate ranks are rescored in full precision before the final
-  /// merge; 4 recovers the exact fp64 top-k on the canonical workload.
-  size_t oversample = 4;
   /// Pins the scalar reference kernel regardless of CPU features. The
   /// CROWDSELECT_FORCE_SCALAR environment variable (read at engine
   /// construction) does the same without a rebuild.
@@ -105,28 +78,11 @@ class SelectionEngine {
     return handle_.Acquire();
   }
 
-  /// Attaches the fold-in projector; required for SelectTopK/Project.
-  /// `model_id` names the owning model in EXPLAIN output and seeds the
-  /// fold-in cache namespace. Replacing the projector (e.g. after a
-  /// batch retrain) moves the cache to a fresh namespace AND clears it,
-  /// so cached posteriors of the previous model can never be served.
-  void SetProjector(std::unique_ptr<const TaskProjector> projector,
-                    const std::string& model_id);
-
-  /// TDPM convenience: wraps `folder` in a TdpmFolderProjector under
-  /// model id "tdpm". The wrapper forwards verbatim, so this path is
-  /// bit-identical to the pre-interface engine.
-  void SetFolder(TaskFolder folder) {
-    SetProjector(
-        std::make_unique<TdpmFolderProjector>(std::move(folder)), "tdpm");
-  }
-
-  bool has_projector() const { return projector_ != nullptr; }
-  bool has_folder() const { return has_projector(); }
-  const TaskProjector* projector() const { return projector_.get(); }
-  const std::string& model_id() const { return model_id_; }
-  /// Cache namespace of the current projector (model id + generation).
-  uint64_t cache_namespace() const { return cache_namespace_; }
+  /// Attaches the TDPM fold-in solver; required for SelectTopK/Project.
+  /// Replacing the folder (e.g. after a batch retrain) moves the cache
+  /// to a fresh namespace AND clears it, so cached posteriors of the
+  /// previous model can never be served.
+  void SetFolder(TaskFolder folder);
 
   // --- Queries -------------------------------------------------------------
 
@@ -167,8 +123,8 @@ class SelectionEngine {
 
   FoldInCache* cache() const { return cache_.get(); }
   const ServeOptions& options() const { return options_; }
-  /// The ScoreKernel runtime dispatch chose at construction ("scalar",
-  /// "avx2", "neon"); surfaced in EXPLAIN and the serve.kernel gauge.
+  /// The ScoreKernel runtime dispatch chose at construction ("scalar" or
+  /// "avx2"); surfaced in EXPLAIN and the serve.kernel gauge.
   const kernels::ScoreKernel& kernel() const { return *kernel_; }
 
  private:
@@ -182,12 +138,10 @@ class SelectionEngine {
                                      const ScoreFn& score) const;
   /// Dense-range panel scan: candidates form the contiguous id range
   /// [first, first + count) and are scored panel-by-panel through the
-  /// dispatched kernel (int8 when `int8_phase` — scores are then the
-  /// approximate phase-1 values).
+  /// dispatched kernel.
   std::vector<RankedWorker> ScanPanels(const SkillMatrixSnapshot& snap,
                                        const double* query, size_t k,
-                                       WorkerId first, size_t count,
-                                       bool int8_phase) const;
+                                       WorkerId first, size_t count) const;
   std::vector<RankedWorker> ScanSnapshot(
       const SkillMatrixSnapshot& snap, const Vector& category, size_t k,
       const std::vector<WorkerId>& candidates,
@@ -197,15 +151,13 @@ class SelectionEngine {
   /// Dispatched once at construction; stateless and shared.
   const kernels::ScoreKernel* kernel_;
   SnapshotHandle handle_;
-  std::unique_ptr<const TaskProjector> projector_;
-  std::string model_id_;
-  /// Hash of (model id, projector generation, layout + quantization
-  /// generation): entries written under an earlier projector — or under
-  /// a different panel layout or scan-quantization configuration — live
-  /// in a different namespace even before the accompanying Clear()
-  /// lands.
+  std::optional<TaskFolder> folder_;
+  /// Hash of (folder generation, panel layout generation): entries
+  /// written under an earlier folder — or under a different panel
+  /// layout — live in a different namespace even before the
+  /// accompanying Clear() lands.
   uint64_t cache_namespace_ = 0;
-  uint64_t projector_generation_ = 0;
+  uint64_t folder_generation_ = 0;
   std::unique_ptr<FoldInCache> cache_;
   mutable std::once_flag pool_once_;
   mutable std::unique_ptr<ThreadPool> pool_;

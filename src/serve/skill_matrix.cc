@@ -36,8 +36,7 @@ SkillMatrixSnapshot::WithUpdatedRows(
     const std::vector<std::pair<WorkerId, Vector>>& rows) const {
   Matrix next = skills_;
   // The blocked scan view rides along copy-on-write too: only the
-  // touched lanes are re-encoded (fp panel entries, int8 codes, and the
-  // worker's quantization scale), not the whole pool.
+  // touched lanes are re-encoded, not the whole pool.
   kernels::BlockedPanels next_panels = panels_;
   for (const auto& [w, lambda] : rows) {
     CS_CHECK(w < next.rows()) << "unknown worker " << w;

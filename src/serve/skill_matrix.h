@@ -5,16 +5,15 @@
 //    (EXPLAIN score decomposition, RowPtr/RowCopy, model write-back);
 //  * blocked column panels (serve/kernels/score_kernel.h) — the scan
 //    view the ScoreKernels stream, kPanelWidth workers interleaved per
-//    dimension and padded to the tile width, plus the int8 quantized
-//    variant (codes + per-worker scales) for bandwidth-bound pools.
+//    dimension and padded to the tile width.
 //
 // Snapshots are published copy-on-write through a SnapshotHandle: the
 // crowd-manager / dispatcher thread builds the next version (a full
 // rebuild after batch EM, or WithUpdatedRows() after incremental skill
-// updates — which re-encodes the touched panel lanes, fp and int8
-// both) and swaps it in while concurrent SelectTopK readers finish on
-// the shared_ptr they already acquired — readers never block writers and
-// never observe a half-written matrix.
+// updates — which re-encodes the touched panel lanes) and swaps it in
+// while concurrent SelectTopK readers finish on the shared_ptr they
+// already acquired — readers never block writers and never observe a
+// half-written matrix.
 #ifndef CROWDSELECT_SERVE_SKILL_MATRIX_H_
 #define CROWDSELECT_SERVE_SKILL_MATRIX_H_
 
@@ -73,8 +72,8 @@ class SkillMatrixSnapshot {
   /// Row copy (tests / diagnostics).
   Vector RowCopy(WorkerId w) const { return skills_.Row(w); }
 
-  /// The blocked scan view (full-precision panels + int8 variant),
-  /// built once at construction and immutable thereafter.
+  /// The blocked scan view, built once at construction and immutable
+  /// thereafter.
   const kernels::BlockedPanels& panels() const { return panels_; }
 
   /// Physical-layout fingerprint (panel width, encoding version, dims);

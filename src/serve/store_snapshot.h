@@ -2,8 +2,8 @@
 // SkillMatrixSnapshot by scanning the engine one shard at a time, each
 // shard under its own reader lock — no global stop-the-world, concurrent
 // writers to other shards keep going while the snapshot assembles. The
-// snapshot constructor encodes the blocked scan panels (fp64 + int8,
-// serve/kernels/score_kernel.h) as part of the build, so a store-backed
+// snapshot constructor encodes the blocked scan panels
+// (serve/kernels/score_kernel.h) as part of the build, so a store-backed
 // snapshot serves through the SIMD kernel path like any other.
 #ifndef CROWDSELECT_SERVE_STORE_SNAPSHOT_H_
 #define CROWDSELECT_SERVE_STORE_SNAPSHOT_H_

@@ -14,9 +14,6 @@ CpuFeatures Detect() {
   // and works identically on GCC and Clang.
   features.avx2 = __builtin_cpu_supports("avx2") != 0;
   features.fma = __builtin_cpu_supports("fma") != 0;
-#elif defined(__aarch64__)
-  // Advanced SIMD is architecturally mandatory on AArch64.
-  features.neon = true;
 #endif
   return features;
 }

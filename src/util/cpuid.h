@@ -21,7 +21,6 @@ namespace crowdselect {
 struct CpuFeatures {
   bool avx2 = false;  ///< x86-64 AVX2 (256-bit integer + double lanes).
   bool fma = false;   ///< x86-64 FMA3 (informational; kernels avoid fusing).
-  bool neon = false;  ///< AArch64 Advanced SIMD (baseline on aarch64).
 };
 
 /// Detects once and caches; cheap to call per engine construction.

@@ -5,6 +5,8 @@
 
 #include <functional>
 #include <memory>
+#include <ostream>
+#include <string>
 
 #include "crowdselect/crowdselect.h"
 
@@ -15,6 +17,13 @@ struct SelectorCase {
   std::string label;
   std::function<std::unique_ptr<CrowdSelector>()> make;
 };
+
+// gtest's default printer dumps the object's bytes, heap pointers included,
+// and --gtest_list_tests (hence every ctest name) embeds that dump; printing
+// the label keeps the test names the same from one process to the next.
+void PrintTo(const SelectorCase& selector_case, std::ostream* os) {
+  *os << selector_case.label;
+}
 
 CrowdDatabase SharedDb() {
   CrowdDatabase db;

@@ -32,7 +32,6 @@ ModelConfig Config() {
   config.tdpm.seed = 42;
   config.tdpm.num_threads = 0;
   config.router_num_clusters = 3;
-  config.ds_num_types = 3;
   return config;
 }
 
@@ -50,11 +49,11 @@ TEST(RouterComparisonTest, RoutingBeatsGlobalTdpmOnHeterogeneousWorkload) {
     ASSERT_GE(split->cases.size(), 50u);
 
     auto factories =
-        ModelSelectorFactories({"tdpm", "router", "ensemble"}, Config());
+        ModelSelectorFactories({"tdpm", "router"}, Config());
     ASSERT_TRUE(factories.ok());
     auto results = RunExperiment(*split, *factories);
     ASSERT_TRUE(results.ok());
-    ASSERT_EQ(results->size(), 3u);
+    ASSERT_EQ(results->size(), 2u);
     for (const AlgorithmResult& r : *results) {
       accu[r.name] += r.mean_accu;
       top1[r.name] += r.top1;
@@ -64,16 +63,12 @@ TEST(RouterComparisonTest, RoutingBeatsGlobalTdpmOnHeterogeneousWorkload) {
   // Sanity: everything does far better than random on this workload.
   EXPECT_GT(accu["TDPM"] / 5.0, 0.7);
 
-  // The PR acceptance criterion: per-type routing and the ensemble beat
-  // the single global model on precision@k, averaged over the seeds.
+  // Per-type routing beats the single global model on precision@k,
+  // averaged over the seeds.
   EXPECT_GT(accu["Router"], accu["TDPM"])
       << "router " << accu["Router"] << " vs tdpm " << accu["TDPM"];
   EXPECT_GT(top1["Router"], top1["TDPM"])
       << "router " << top1["Router"] << " vs tdpm " << top1["TDPM"];
-  EXPECT_GT(accu["Ensemble"], accu["TDPM"])
-      << "ensemble " << accu["Ensemble"] << " vs tdpm " << accu["TDPM"];
-  EXPECT_GT(top1["Ensemble"], top1["TDPM"])
-      << "ensemble " << top1["Ensemble"] << " vs tdpm " << top1["TDPM"];
 }
 
 }  // namespace

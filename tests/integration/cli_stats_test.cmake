@@ -152,5 +152,25 @@ if(NOT select_plain STREQUAL select_explained)
           "plain:\n${select_plain}\nexplained:\n${select_explained}")
 endif()
 
+# Removed model ids fail loudly: `ensemble` and `dawid_skene` are gone,
+# so naming either exits nonzero with an error that names the id instead
+# of silently serving something else.
+foreach(cmd "evaluate;--models;tdpm,ensemble;--k;6;--iters;2"
+        "select;--model;dawid_skene;--task;tag1 tag2 tag3")
+  list(GET cmd 0 subcommand)
+  list(GET cmd 2 id_arg)
+  string(REGEX REPLACE "^tdpm," "" removed_id "${id_arg}")
+  execute_process(
+    COMMAND "${CLI}" ${cmd} --data "${WORK_DIR}/world"
+    RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+  if(rc EQUAL 0)
+    message(FATAL_ERROR "${subcommand} with removed id ${removed_id} exited 0")
+  endif()
+  if(NOT err MATCHES "\"${removed_id}\"")
+    message(FATAL_ERROR
+      "${subcommand}: error does not name ${removed_id} (rc=${rc}):\n${err}")
+  endif()
+endforeach()
+
 file(REMOVE_RECURSE "${WORK_DIR}")
 message(STATUS "cli_stats_test passed")

@@ -2,10 +2,11 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstring>
+#include <string>
 
 #include "model/selection.h"
+#include "obs/metrics.h"
 #include "serve/router.h"
 #include "util/logging.h"
 
@@ -48,52 +49,55 @@ ModelConfig SmallConfig() {
   config.tdpm.num_categories = 2;
   config.tdpm.max_em_iterations = 25;
   config.tdpm.seed = 3;
-  config.ds_num_labels = 2;
-  config.ds_num_types = 2;
   config.router_num_clusters = 2;
   return config;
 }
 
-TEST(CrowdModelRegistryTest, BuiltinsAreRegistered) {
-  CrowdModelRegistry& registry = CrowdModelRegistry::Global();
-  for (const char* id : {"tdpm", "dawid_skene", "router", "ensemble"}) {
-    EXPECT_TRUE(registry.Has(id)) << id;
+TEST(CreateCrowdModelTest, KnownIdsAreTdpmAndRouter) {
+  obs::MetricsRegistry::Global().SetEnabled(true);
+  EXPECT_TRUE(IsCrowdModelId("tdpm"));
+  EXPECT_TRUE(IsCrowdModelId("router"));
+  for (const char* id : {"", "TDPM", "dawid_skene", "ensemble"}) {
+    EXPECT_FALSE(IsCrowdModelId(id)) << id;
   }
-  const std::vector<std::string> ids = registry.Ids();
-  EXPECT_TRUE(std::is_sorted(ids.begin(), ids.end()));
-  EXPECT_GE(ids.size(), 4u);
+  obs::Counter* created =
+      obs::MetricsRegistry::Global().GetCounter("model.created");
+  const uint64_t before = created->Value();
+  for (const char* id : {"tdpm", "router"}) {
+    auto model = CreateCrowdModel(id, SmallConfig());
+    ASSERT_TRUE(model.ok()) << id;
+    EXPECT_EQ((*model)->ModelId(), id);
+    EXPECT_FALSE((*model)->trained()) << id;
+  }
+  EXPECT_EQ(created->Value() - before, 2u);
 }
 
-TEST(CrowdModelRegistryTest, UnknownIdIsNotFoundAndListsKnownIds) {
-  auto result =
-      CrowdModelRegistry::Global().Create("no_such_model", SmallConfig());
-  ASSERT_FALSE(result.ok());
-  EXPECT_TRUE(result.status().IsNotFound());
-  EXPECT_NE(result.status().message().find("tdpm"), std::string::npos)
-      << "error should list the known ids: " << result.status().message();
+// Unknown ids — including the removed "dawid_skene" and "ensemble" —
+// fail loudly, name the id, and list what is known.
+TEST(CreateCrowdModelTest, UnknownIdIsNotFoundAndListsKnownIds) {
+  obs::Counter* created =
+      obs::MetricsRegistry::Global().GetCounter("model.created");
+  const uint64_t before = created->Value();
+  for (const char* id : {"no_such_model", "dawid_skene", "ensemble"}) {
+    auto result = CreateCrowdModel(id, SmallConfig());
+    ASSERT_FALSE(result.ok()) << id;
+    EXPECT_TRUE(result.status().IsNotFound()) << id;
+    const std::string& message = result.status().message();
+    EXPECT_NE(message.find(std::string("\"") + id + "\""), std::string::npos)
+        << "error should name the id: " << message;
+    EXPECT_NE(message.find("router, tdpm"), std::string::npos)
+        << "error should list the known ids: " << message;
+  }
+  EXPECT_EQ(created->Value(), before) << "a failed creation is not counted";
 }
 
-TEST(CrowdModelRegistryTest, CustomFactoryRoundTrips) {
-  CrowdModelRegistry& registry = CrowdModelRegistry::Global();
-  registry.Register("custom_tdpm", [](const ModelConfig& config) {
-    return std::make_unique<TdpmSelector>(config.tdpm, config.serve);
-  });
-  auto model = registry.Create("custom_tdpm", SmallConfig());
-  ASSERT_TRUE(model.ok());
-  EXPECT_EQ((*model)->ModelId(), "tdpm");
-  EXPECT_FALSE((*model)->trained());
-}
-
-TEST(CrowdModelRegistryTest, EveryBuiltinTrainsAndServes) {
+TEST(CreateCrowdModelTest, EveryBuiltinTrainsAndServes) {
   CrowdDatabase db = TwoTopicDb();
   Tokenizer tokenizer{TokenizerOptions{.remove_stopwords = true}};
   const BagOfWords task = BagOfWords::FromTextFrozen(
       "btree index page", tokenizer, db.vocabulary());
-  for (const std::string& id : {std::string("tdpm"),
-                                std::string("dawid_skene"),
-                                std::string("router"),
-                                std::string("ensemble")}) {
-    auto model = CrowdModelRegistry::Global().Create(id, SmallConfig());
+  for (const std::string& id : {std::string("tdpm"), std::string("router")}) {
+    auto model = CreateCrowdModel(id, SmallConfig());
     ASSERT_TRUE(model.ok()) << id;
     ASSERT_TRUE((*model)->Train(db).ok()) << id;
     serve::QueryStats stats;
@@ -109,15 +113,15 @@ TEST(CrowdModelRegistryTest, EveryBuiltinTrainsAndServes) {
 // disabled and model=tdpm, rankings must be *byte-identical* to the
 // direct (pre-refactor) TdpmSelector path. Bitwise score comparison, not
 // approximate.
-TEST(CrowdModelRegistryTest, RegistryTdpmIsByteIdenticalToDirectSelector) {
+TEST(CreateCrowdModelTest, TdpmIsByteIdenticalToDirectSelector) {
   CrowdDatabase db = TwoTopicDb();
   const ModelConfig config = SmallConfig();
 
   TdpmSelector direct(config.tdpm, config.serve);
   ASSERT_TRUE(direct.Train(db).ok());
-  auto via_registry = CrowdModelRegistry::Global().Create("tdpm", config);
-  ASSERT_TRUE(via_registry.ok());
-  ASSERT_TRUE((*via_registry)->Train(db).ok());
+  auto via_factory = CreateCrowdModel("tdpm", config);
+  ASSERT_TRUE(via_factory.ok());
+  ASSERT_TRUE((*via_factory)->Train(db).ok());
 
   Tokenizer tokenizer{TokenizerOptions{.remove_stopwords = true}};
   const std::vector<std::string> queries = {
@@ -130,7 +134,7 @@ TEST(CrowdModelRegistryTest, RegistryTdpmIsByteIdenticalToDirectSelector) {
     const BagOfWords task =
         BagOfWords::FromTextFrozen(text, tokenizer, db.vocabulary());
     auto a = direct.SelectTopK(task, 4, {0, 1, 2, 3});
-    auto b = (*via_registry)->SelectTopK(task, 4, {0, 1, 2, 3});
+    auto b = (*via_factory)->SelectTopK(task, 4, {0, 1, 2, 3});
     ASSERT_TRUE(a.ok() && b.ok());
     ASSERT_EQ(a->size(), b->size());
     for (size_t i = 0; i < a->size(); ++i) {
@@ -145,7 +149,7 @@ TEST(CrowdModelRegistryTest, RegistryTdpmIsByteIdenticalToDirectSelector) {
 
 // Same guard one level up: a single-member router degenerates to its
 // member's exact ranking (routing adds no numeric perturbation).
-TEST(CrowdModelRegistryTest, SingleMemberRouterMatchesDirectSelector) {
+TEST(CreateCrowdModelTest, SingleMemberRouterMatchesDirectSelector) {
   CrowdDatabase db = TwoTopicDb();
   const ModelConfig config = SmallConfig();
 
@@ -172,7 +176,7 @@ TEST(CrowdModelRegistryTest, SingleMemberRouterMatchesDirectSelector) {
 TEST(CrowdModelTest, ScoreCandidatesRanksEveryCandidate) {
   CrowdDatabase db = TwoTopicDb();
   const ModelConfig config = SmallConfig();
-  auto model = CrowdModelRegistry::Global().Create("tdpm", config);
+  auto model = CreateCrowdModel("tdpm", config);
   ASSERT_TRUE(model.ok());
   ASSERT_TRUE((*model)->Train(db).ok());
   Tokenizer tokenizer{TokenizerOptions{.remove_stopwords = true}};

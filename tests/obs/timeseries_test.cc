@@ -161,6 +161,22 @@ TEST(TimeSeriesStoreTest, BackgroundSamplingStartsAndStopsCleanly) {
   store.StopSampling();  // Idempotent when already stopped.
 }
 
+// Regression: the sampler waited without a predicate, so a Stop that
+// ran before the thread's first wait was lost and Stop blocked for a
+// whole interval.
+TEST(TimeSeriesStoreTest, StopRightAfterStartReturnsPromptly) {
+  MetricsRegistry registry;
+  registry.GetGauge("g")->Set(1.0);
+  TimeSeriesStore store;
+  const auto start = std::chrono::steady_clock::now();
+  store.StartSampling(/*interval_seconds=*/30.0, &registry);
+  store.StopSampling();
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_LT(elapsed, std::chrono::milliseconds(100));
+  EXPECT_FALSE(store.sampling_running());
+  EXPECT_EQ(store.total_points(), 0u) << "a stop must not sample";
+}
+
 TEST(TimeSeriesStoreTest, GlobalIsASingleton) {
   EXPECT_EQ(&TimeSeriesStore::Global(), &TimeSeriesStore::Global());
 }

@@ -204,6 +204,22 @@ TEST(SloTrackerTest, DestructorJoinsTheRotationThread) {
   EXPECT_TRUE(tracker.background_rotation_running());
 }
 
+// Regression: the rotation thread waited without a predicate, so a Stop
+// that ran before the thread's first wait was lost and Stop blocked for
+// a whole interval.
+TEST(SloTrackerTest, StopRightAfterStartReturnsPromptly) {
+  SloTracker tracker;
+  tracker.Record("test.prompt", 1.0);
+  const auto start = std::chrono::steady_clock::now();
+  tracker.StartBackgroundRotation(/*interval_seconds=*/30.0);
+  tracker.StopBackgroundRotation();
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_LT(elapsed, std::chrono::milliseconds(100));
+  EXPECT_FALSE(tracker.background_rotation_running());
+  EXPECT_EQ(tracker.GetWindow("test.prompt")->rotations(), 0u)
+      << "a stop must not rotate";
+}
+
 TEST(SloTrackerTest, NonPositiveRotationIntervalIsClamped) {
   SloTracker tracker;
   tracker.StartBackgroundRotation(/*interval_seconds=*/-1.0);

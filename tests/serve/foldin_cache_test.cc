@@ -105,33 +105,31 @@ TEST(FoldInCacheTest, ZeroCapacityDisablesCaching) {
 // hash is identical.
 TEST(FoldInCacheNamespaceTest, SameHashDifferentNamespaceNeverHits) {
   FoldInCache cache(8);
-  const uint64_t tdpm_ns = HashModelId("tdpm");
-  const uint64_t ds_ns = HashModelId("dawid_skene");
-  ASSERT_NE(tdpm_ns, ds_ns);
+  const uint64_t old_ns = 0x1111;
+  const uint64_t new_ns = 0x2222;
   const uint64_t key = 42;
 
-  cache.Insert(tdpm_ns, key, MakeResult(1.0));
+  cache.Insert(old_ns, key, MakeResult(1.0));
   FoldInResult out;
-  EXPECT_FALSE(cache.Lookup(ds_ns, key, &out))
-      << "a dawid_skene query must not see the tdpm posterior";
-  ASSERT_TRUE(cache.Lookup(tdpm_ns, key, &out));
+  EXPECT_FALSE(cache.Lookup(new_ns, key, &out))
+      << "a query in one namespace must not see another's posterior";
+  ASSERT_TRUE(cache.Lookup(old_ns, key, &out));
   EXPECT_DOUBLE_EQ(out.lambda[0], 1.0);
 
   // Both namespaces can hold the same content hash with different values.
-  cache.Insert(ds_ns, key, MakeResult(7.0));
-  ASSERT_TRUE(cache.Lookup(ds_ns, key, &out));
+  cache.Insert(new_ns, key, MakeResult(7.0));
+  ASSERT_TRUE(cache.Lookup(new_ns, key, &out));
   EXPECT_DOUBLE_EQ(out.lambda[0], 7.0);
-  ASSERT_TRUE(cache.Lookup(tdpm_ns, key, &out));
+  ASSERT_TRUE(cache.Lookup(old_ns, key, &out));
   EXPECT_DOUBLE_EQ(out.lambda[0], 1.0);
   EXPECT_EQ(cache.size(), 2u);
 }
 
 TEST(FoldInCacheNamespaceTest, SnapshotFamilyChangesNamespace) {
-  // The engine derives the namespace from (model id, projector
-  // generation); a republished projector must not serve stale posteriors.
-  const uint64_t base = HashModelId("tdpm");
-  const uint64_t gen1 = base ^ (1 * 0x9E3779B97F4A7C15ULL);
-  const uint64_t gen2 = base ^ (2 * 0x9E3779B97F4A7C15ULL);
+  // The engine derives the namespace from the folder generation; a
+  // republished folder must not serve stale posteriors.
+  const uint64_t gen1 = 1 * 0x9E3779B97F4A7C15ULL;
+  const uint64_t gen2 = 2 * 0x9E3779B97F4A7C15ULL;
   ASSERT_NE(gen1, gen2);
   FoldInCache cache(8);
   cache.Insert(gen1, 7, MakeResult(1.0));
@@ -145,7 +143,7 @@ TEST(FoldInCacheNamespaceTest, LegacyFormsUseNamespaceZero) {
   FoldInResult out;
   ASSERT_TRUE(cache.Lookup(/*ns=*/0, 5, &out));
   EXPECT_DOUBLE_EQ(out.lambda[0], 3.0);
-  EXPECT_FALSE(cache.Lookup(HashModelId("tdpm"), 5, &out));
+  EXPECT_FALSE(cache.Lookup(/*ns=*/0x9E3779B97F4A7C15ULL, 5, &out));
 }
 
 TEST(FoldInCacheTest, ClearEmptiesButKeepsCounters) {

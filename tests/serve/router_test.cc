@@ -36,10 +36,8 @@ TdpmOptions MemberOptions(uint64_t seed) {
 
 /// Router with one TDPM member per ground-truth type, trained on the
 /// heterogeneous workload.
-TaskTypeRouter TrainedRouter(const HeterogeneousDataset& data,
-                             RouteMode mode = RouteMode::kSimilarity) {
+TaskTypeRouter TrainedRouter(const HeterogeneousDataset& data) {
   RouterOptions options;
-  options.mode = mode;
   options.seed = 19;
   TaskTypeRouter router(options);
   for (size_t m = 0; m < data.config.num_types; ++m) {
@@ -114,10 +112,8 @@ TEST(TaskTypeRouterTest, NoVocabularyOverlapFallsBack) {
   const RouteDecision decision = router.Route(unknown);
   EXPECT_TRUE(decision.fallback);
   EXPECT_EQ(decision.member, 1u);
-  // Uniform ensemble weights on fallback.
-  for (double w : decision.weights) {
-    EXPECT_DOUBLE_EQ(w, 1.0 / router.num_members());
-  }
+  EXPECT_EQ(decision.similarity, 0.0);
+  EXPECT_EQ(decision.margin, 0.0);
 }
 
 TEST(TaskTypeRouterTest, ExplainCarriesRouteDecision) {
@@ -139,43 +135,10 @@ TEST(TaskTypeRouterTest, ExplainCarriesRouteDecision) {
   EXPECT_EQ(stats.serving_model, stats.route.chosen_model);
   EXPECT_GT(stats.route.similarity, 0.0);
   EXPECT_GE(stats.route.margin, 0.0);
-  // Similarity mode reports no ensemble weights.
-  EXPECT_TRUE(stats.route.ensemble_weights.empty());
 
   const std::string json = stats.ToJson();
   EXPECT_NE(json.find("\"route\""), std::string::npos);
   EXPECT_NE(json.find("\"chosen_model\""), std::string::npos);
-}
-
-TEST(TaskTypeRouterTest, EnsembleBlendsAllMembers) {
-  auto data = GenerateHeterogeneousDataset(SmallWorkload());
-  ASSERT_TRUE(data.ok());
-  TaskTypeRouter router = TrainedRouter(*data, RouteMode::kEnsemble);
-  EXPECT_EQ(router.ModelId(), "ensemble");
-  EXPECT_EQ(router.Name(), "Ensemble");
-
-  const CrowdDatabase& db = data->dataset.db;
-  std::vector<WorkerId> candidates;
-  for (WorkerId w = 0; w < db.NumWorkers(); ++w) candidates.push_back(w);
-
-  QueryStats stats;
-  auto top =
-      router.SelectTopKExplained(db.tasks()[0].bag, 5, candidates, &stats);
-  ASSERT_TRUE(top.ok());
-  ASSERT_EQ(top->size(), 5u);
-  for (size_t i = 1; i < top->size(); ++i) {
-    EXPECT_GE((*top)[i - 1].score, (*top)[i].score);
-  }
-  EXPECT_EQ(stats.serving_model, "ensemble");
-  EXPECT_EQ(stats.route.mode, "ensemble");
-  ASSERT_EQ(stats.route.ensemble_weights.size(), router.num_members());
-  double weight_sum = 0.0;
-  for (const auto& [label, weight] : stats.route.ensemble_weights) {
-    EXPECT_FALSE(label.empty());
-    EXPECT_GE(weight, 0.0);
-    weight_sum += weight;
-  }
-  EXPECT_NEAR(weight_sum, 1.0, 1e-9);
 }
 
 TEST(TaskTypeRouterTest, MemberLabelsDefaultToModelIdAndIndex) {

@@ -47,7 +47,7 @@ TEST(SelectionEngineTest, RequiresSnapshotAndFolder) {
   EXPECT_TRUE(engine.SelectTopK(bag, 1, {0}).status().IsFailedPrecondition());
   EXPECT_TRUE(engine.Project(bag).status().IsFailedPrecondition());
   engine.PublishSnapshot(RandomSnapshot(4, 2, 1));
-  // Snapshot alone is not enough: fold-in needs the projector.
+  // Snapshot alone is not enough: SelectTopK needs the folder.
   EXPECT_TRUE(engine.SelectTopK(bag, 1, {0}).status().IsFailedPrecondition());
   Vector category(2, 1.0);
   // RankByCategory needs no folder.

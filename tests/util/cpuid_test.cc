@@ -43,19 +43,15 @@ TEST(CpuidTest, DetectionIsStableAcrossCalls) {
   EXPECT_EQ(&first, &second);
   EXPECT_EQ(first.avx2, second.avx2);
   EXPECT_EQ(first.fma, second.fma);
-  EXPECT_EQ(first.neon, second.neon);
 }
 
 TEST(CpuidTest, FeatureCombinationsArePlausible) {
   const CpuFeatures& features = DetectCpuFeatures();
-#if defined(__aarch64__)
-  // Advanced SIMD is architecturally mandatory on AArch64.
-  EXPECT_TRUE(features.neon);
-  EXPECT_FALSE(features.avx2);
+#if defined(__x86_64__) || defined(__i386__)
+  // The bits describe the running CPU, not the compile target.
+  EXPECT_EQ(features.avx2, __builtin_cpu_supports("avx2") != 0);
+  EXPECT_EQ(features.fma, __builtin_cpu_supports("fma") != 0);
 #else
-  EXPECT_FALSE(features.neon);
-#endif
-#if !defined(__x86_64__) && !defined(__i386__)
   EXPECT_FALSE(features.avx2);
   EXPECT_FALSE(features.fma);
 #endif

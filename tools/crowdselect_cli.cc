@@ -8,7 +8,7 @@
 //   crowdselect_cli select   --data DIR --model FILE|ID --task "TEXT" [--top N]
 //   crowdselect_cli explain  --data DIR --model FILE|ID --task "TEXT" [--top N]
 //   crowdselect_cli evaluate --data DIR [--k N] [--tests N] [--threshold N]
-//                            [--models tdpm,router,ensemble]
+//                            [--models tdpm,router]
 //   crowdselect_cli simulate --data DIR [--k N] [--iters N] [--tasks N]
 //                            [--top N] [--seed N] [--slo-window N]
 //   crowdselect_cli ingest   --data DIR --db-dir DIR [--shards N]
@@ -32,15 +32,16 @@
 // snapshot version, fold-in cache hit/miss, CG iterations, per-stage
 // latencies, and the per-candidate score decomposition.
 //
-// Crowd models (docs/models.md): select/explain/simulate accept --model
-// as either a trained TDPM snapshot FILE (the classic path) or a
-// registry ID ("tdpm", "dawid_skene", "router", "ensemble"), in which
-// case the model is trained in-process from --data before serving and
-// the EXPLAIN payload carries the serving model id plus the router's
-// dispatch decision. `generate --platform hetero` produces the
-// heterogeneous workload (Zipf task-type mix, specialist / spammer /
-// adversarial worker profiles) the router is built for, and
-// `evaluate --models a,b,c` compares registry models head to head.
+// Crowd models (docs/models.md): select/explain accept --model as either
+// a trained TDPM snapshot FILE (the classic path) or a model ID ("tdpm"
+// or "router"), in which case the model is trained in-process from
+// --data before serving and the EXPLAIN payload carries the serving
+// model id plus the router's dispatch decision; simulate takes an ID.
+// Any other --model that names no readable file fails, naming the id.
+// `generate --platform hetero` produces the heterogeneous workload (Zipf
+// task-type mix, specialist / spammer / adversarial worker profiles) the
+// router is built for, and `evaluate --models tdpm,router` compares
+// crowd models head to head.
 //
 // Black-box diagnostics (docs/observability.md): every command accepts
 // --crash-dump-dir DIR (install the async-signal-safe crash handler),
@@ -120,12 +121,10 @@ int Usage() {
                "  train    --data DIR --model FILE [--k N] [--iters N]\n"
                "  select   --data DIR --model FILE|ID --task TEXT [--top N]\n"
                "  explain  --data DIR --model FILE|ID --task TEXT [--top N]\n"
-               "           (IDs: tdpm, dawid_skene, router, ensemble — "
-               "trained in-process;\n"
-               "            --clusters N router members / DS types, "
-               "--labels N DS labels)\n"
+               "           (IDs: tdpm, router — trained in-process;\n"
+               "            --clusters N router members)\n"
                "  evaluate --data DIR [--k N] [--tests N] [--threshold N]\n"
-               "           [--models tdpm,router,... compare registry models "
+               "           [--models tdpm,router compare crowd models "
                "instead of\n"
                "            the VSM/TSPM/DRM/TDPM baseline table]\n"
                "  simulate --data DIR | --db-dir DIR [--k N] [--iters N] "
@@ -148,11 +147,6 @@ int Usage() {
                "serving flags (select, explain, simulate):\n"
                "  --serve-threads N  scan threads for selection (0 = all cores)\n"
                "  --foldin-cache N   fold-in cache entries (0 disables)\n"
-               "  --quant MODE       dense-scan snapshot variant: fp64\n"
-               "                     (default) or int8 (quantized phase 1 +\n"
-               "                     full-precision rescore)\n"
-               "  --oversample N     int8: rescore the top k*N phase-1 "
-               "candidates (default 4)\n"
                "  --force-scalar 1   pin the scalar score kernel (also:\n"
                "                     CROWDSELECT_FORCE_SCALAR=1 env)\n"
                "  --explain-out FILE select/explain: write the query's "
@@ -207,13 +201,6 @@ serve::ServeOptions ServeOptionsFromArgs(const Args& args) {
   serve_options.select_deadline_ms = static_cast<double>(
       args.GetInt("select-deadline-ms",
                   static_cast<long>(serve_options.select_deadline_ms)));
-  if (const char* quant = args.Get("quant")) {
-    serve_options.quant = std::string(quant) == "int8"
-                              ? serve::ScanQuant::kInt8
-                              : serve::ScanQuant::kFp64;
-  }
-  serve_options.oversample = static_cast<size_t>(
-      args.GetInt("oversample", static_cast<long>(serve_options.oversample)));
   serve_options.force_scalar_kernel = args.GetInt("force-scalar", 0) != 0;
   return serve_options;
 }
@@ -318,8 +305,8 @@ void FinishDiagnostics(const Args& args) {
   obs::SloTracker::Global().StopBackgroundRotation();
 }
 
-/// Builds a ModelConfig for registry-created models from the serving and
-/// model flags (shared by select, explain, simulate, evaluate).
+/// Builds a ModelConfig for id-created models from the serving and model
+/// flags (shared by select, explain, simulate, evaluate).
 ModelConfig ModelConfigFromArgs(const Args& args) {
   ModelConfig config;
   config.tdpm.num_categories = static_cast<size_t>(args.GetInt("k", 10));
@@ -327,10 +314,8 @@ ModelConfig ModelConfigFromArgs(const Args& args) {
   config.tdpm.seed = static_cast<uint64_t>(args.GetInt("seed", 42));
   config.tdpm.num_threads = 0;
   config.serve = ServeOptionsFromArgs(args);
-  const size_t clusters = static_cast<size_t>(args.GetInt("clusters", 3));
-  config.router_num_clusters = clusters;
-  config.ds_num_types = clusters;
-  config.ds_num_labels = static_cast<size_t>(args.GetInt("labels", 4));
+  config.router_num_clusters =
+      static_cast<size_t>(args.GetInt("clusters", 3));
   return config;
 }
 
@@ -446,7 +431,7 @@ int CmdTrain(const Args& args) {
 /// Shared setup of the serving commands (select, explain): data + model
 /// loaded, task tokenized against the training vocabulary, and a
 /// candidate pool assembled from the online workers. Two serving paths:
-/// `model` is set when --model named a registry id (trained in-process),
+/// `model` is set when --model named a model id (trained in-process),
 /// `engine` when it named a TDPM snapshot file (classic path).
 struct ServeContext {
   CrowdDatabase db;
@@ -477,15 +462,20 @@ Result<ServeContext> MakeServeContext(const Args& args) {
                  "selection falls back to the prior\n");
   }
 
-  if (CrowdModelRegistry::Global().Has(model_path)) {
-    // Registry id: build and train the model in-process from --data.
+  if (IsCrowdModelId(model_path)) {
+    // Model id: build and train the model in-process from --data.
     CS_ASSIGN_OR_RETURN(ctx.model,
-                        CrowdModelRegistry::Global().Create(
-                            model_path, ModelConfigFromArgs(args)));
+                        CreateCrowdModel(model_path, ModelConfigFromArgs(args)));
     CS_RETURN_NOT_OK(ctx.model->Train(db));
     ctx.candidates = db.OnlineWorkers();
     ctx.db = std::move(db);
     return ctx;
+  }
+  if (!std::ifstream(model_path).good()) {
+    return Status::NotFound(StringPrintf(
+        "--model \"%s\" is neither a crowd model id (router, tdpm) nor a "
+        "readable model file",
+        model_path));
   }
 
   CS_ASSIGN_OR_RETURN(TdpmModelSnapshot snapshot,
@@ -599,13 +589,13 @@ int CmdEvaluate(const Args& args) {
   const size_t k = static_cast<size_t>(args.GetInt("k", 10));
   std::vector<SelectorFactory> factories;
   if (const char* models = args.Get("models")) {
-    // Head-to-head comparison of registry models ("tdpm,router,ensemble")
+    // Head-to-head comparison of crowd models ("tdpm,router")
     // instead of the VSM/TSPM/DRM/TDPM baseline table.
     std::vector<std::string> ids;
     for (const auto& piece : SplitAny(models, ",")) ids.push_back(piece);
-    auto from_registry = ModelSelectorFactories(ids, ModelConfigFromArgs(args));
-    if (!from_registry.ok()) return Fail(from_registry.status());
-    factories = std::move(*from_registry);
+    auto by_id = ModelSelectorFactories(ids, ModelConfigFromArgs(args));
+    if (!by_id.ok()) return Fail(by_id.status());
+    factories = std::move(*by_id);
   } else {
     factories = StandardSelectorFactories(k, 97);
   }
@@ -749,13 +739,12 @@ int CmdSimulate(const Args& args) {
     db = std::move(*imported);
   }
 
-  // --model defaults to the classic TDPM path; any registry id swaps the
+  // --model defaults to the classic TDPM path; "router" swaps the
   // serving backend (the manager only sees the CrowdSelector interface).
   ModelConfig model_config = ModelConfigFromArgs(args);
   model_config.tdpm.max_em_iterations =
       static_cast<int>(args.GetInt("iters", 10));
-  auto created = CrowdModelRegistry::Global().Create(
-      args.Get("model", "tdpm"), model_config);
+  auto created = CreateCrowdModel(args.Get("model", "tdpm"), model_config);
   if (!created.ok()) return Fail(created.status());
   std::unique_ptr<CrowdModel> selector = std::move(*created);
   auto manager = engine
