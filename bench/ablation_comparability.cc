@@ -3,7 +3,8 @@
 // spends most of their activity on category B (the "w_j is better on CS
 // while solving more Math tasks" scenario). Multinomial skill models
 // (DRM/TSPM) normalize activity shares and pick the wrong worker; TDPM's
-// unnormalized skills should pick the right one.
+// unnormalized skills should pick the right one. It exits 1 unless TDPM is
+// right in >= 70% of trials and DRM and TSPM in <= 10%.
 #include <cstdio>
 #include <iostream>
 
@@ -74,6 +75,7 @@ CrowdDatabase PlantScenario(Rng* rng) {
 }  // namespace
 
 int main() {
+  ClaimCheck check;
   const int trials = 20;
   int tdpm_right = 0, drm_right = 0, tspm_right = 0;
   Rng rng(2024);
@@ -125,5 +127,17 @@ int main() {
   table.AddRow({"TSPM", "multinomial (sums to 1)",
                 TableReporter::Cell(static_cast<double>(tspm_right) / trials, 2)});
   table.Print(std::cout);
-  return 0;
+  check.Expect(tdpm_right >= 0.7 * trials,
+               "TDPM picks the stronger worker in " +
+                   std::to_string(tdpm_right) + "/" + std::to_string(trials) +
+                   " trials, >= 70%");
+  check.Expect(drm_right <= 0.1 * trials,
+               "DRM picks the stronger worker in " +
+                   std::to_string(drm_right) + "/" + std::to_string(trials) +
+                   " trials, <= 10%");
+  check.Expect(tspm_right <= 0.1 * trials,
+               "TSPM picks the stronger worker in " +
+                   std::to_string(tspm_right) + "/" + std::to_string(trials) +
+                   " trials, <= 10%");
+  return check.ExitCode();
 }

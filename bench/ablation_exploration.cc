@@ -3,7 +3,8 @@
 // history — is routed greedily (the paper's Eq. 1), with a UCB bonus, and
 // with Thompson sampling. Skills of routed workers are refreshed online
 // with the incremental updater (paper §4.2 requirement (2)); cumulative
-// regret vs the true best worker is reported.
+// regret vs the true best worker is reported. It exits 1 unless Thompson
+// sampling picks cold workers and has lower cumulative regret than greedy.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -135,6 +136,7 @@ PolicyOutcome RunPolicy(ExplorationPolicy policy, double beta) {
 }  // namespace
 
 int main() {
+  ClaimCheck check;
   TableReporter table(
       "Ablation A5: exploration policies on a cold-start worker pool "
       "(800-task horizon; the strongest half of the pool has no history)");
@@ -153,5 +155,14 @@ int main() {
   add("UCB (beta=4)", ucb);
   add("Thompson", thompson);
   table.Print(std::cout);
-  return 0;
+  check.Expect(thompson.cold_worker_selection_rate > 0.0,
+               "Thompson picks cold workers (rate " +
+                   TableReporter::Cell(thompson.cold_worker_selection_rate) +
+                   ")");
+  check.Expect(thompson.cumulative_regret < greedy.cumulative_regret,
+               "Thompson regret " +
+                   TableReporter::Cell(thompson.cumulative_regret, 1) +
+                   " < greedy regret " +
+                   TableReporter::Cell(greedy.cumulative_regret, 1));
+  return check.ExitCode();
 }

@@ -2,7 +2,9 @@
 // (paper section 1 and Algorithm 3). For a stream of newly arriving tasks,
 // compares (a) fold-in projection against (b) full batch re-inference that
 // includes the new tasks: selection agreement, category agreement and the
-// wall-clock speedup that motivates the incremental algorithm.
+// wall-clock speedup that motivates the incremental algorithm. It exits 1
+// unless top-1 agreement >= 0.9, score correlation >= 0.95 and a fold-in
+// is at least 1000x cheaper than a retrain.
 #include <cmath>
 #include <cstdio>
 #include <iostream>
@@ -35,6 +37,7 @@ double Correlation(const std::vector<double>& a, const std::vector<double>& b) {
 }  // namespace
 
 int main() {
+  ClaimCheck check;
   const Platform platform = Platform::kQuora;
   const SyntheticDataset& dataset = GetDataset(platform);
   PrintScaleNote(dataset);
@@ -122,13 +125,23 @@ int main() {
                 TableReporter::Cell(fold_total_s, 4)});
   table.AddRow({"Fold-in time per task (ms)",
                 TableReporter::Cell(1e3 * fold_total_s / arrivals, 3)});
+  const double speedup = batch_train_s / (fold_total_s / arrivals);
+  const double agreement = static_cast<double>(top1_agreements) / arrivals;
+  const double correlation = Correlation(inc_scores, batch_scores);
   table.AddRow({"Speedup (batch retrain / per-task fold-in)",
-                TableReporter::Cell(batch_train_s / (fold_total_s / arrivals), 0)});
-  table.AddRow({"Top-1 selection agreement",
-                TableReporter::Cell(
-                    static_cast<double>(top1_agreements) / arrivals)});
+                TableReporter::Cell(speedup, 0)});
+  table.AddRow({"Top-1 selection agreement", TableReporter::Cell(agreement)});
   table.AddRow({"Selection-score correlation",
-                TableReporter::Cell(Correlation(inc_scores, batch_scores))});
+                TableReporter::Cell(correlation)});
   table.Print(std::cout);
-  return 0;
+  check.Expect(agreement >= 0.9, "top-1 agreement " +
+                                     TableReporter::Cell(agreement) +
+                                     " >= 0.9");
+  check.Expect(correlation >= 0.95, "score correlation " +
+                                        TableReporter::Cell(correlation) +
+                                        " >= 0.95");
+  check.Expect(speedup >= 1000.0, "fold-in is " +
+                                      TableReporter::Cell(speedup, 0) +
+                                      "x cheaper than a retrain, >= 1000x");
+  return check.ExitCode();
 }

@@ -124,6 +124,12 @@ void DumpStatsSnapshot(const std::string& bench_name) {
   std::fprintf(stderr, "  [stats] %s\n", path.c_str());
 }
 
+void ClaimCheck::Expect(bool holds, const std::string& claim) {
+  if (holds) return;
+  std::fprintf(stderr, "claim FAILED: %s\n", claim.c_str());
+  failed_ = true;
+}
+
 void PrintScaleNote(const SyntheticDataset& dataset) {
   std::printf(
       "# %s synthetic dataset: %zu workers, %zu tasks, %zu answers "

@@ -53,6 +53,24 @@ Result<CellResult> RunCell(const SyntheticDataset& dataset, size_t threshold,
 /// Prints the note line every bench emits about scale substitution.
 void PrintScaleNote(const SyntheticDataset& dataset);
 
+/// The paper-claim gate a bench runs on every invocation (`ctest -L paper`
+/// runs the fast benches that use it). Claims are orderings and
+/// thresholds, not exact numbers, so a refactor that keeps the paper's
+/// conclusions passes and one that loses them fails. A held claim prints
+/// nothing, so the bench's output is unchanged while the claims hold.
+class ClaimCheck {
+ public:
+  /// Checks one claim; a lost one prints "claim FAILED: <claim>" to
+  /// stderr.
+  void Expect(bool holds, const std::string& claim);
+
+  /// The process exit code: 1 when any claim failed, else 0.
+  int ExitCode() const { return failed_ ? 1 : 0; }
+
+ private:
+  bool failed_ = false;
+};
+
 /// Writes the global observability snapshot (obs::StatsReporter JSON) to
 /// `<bench_name>.stats.json` under $CROWDSELECT_STATS_DIR (default ".").
 /// Every bench driver calls this after printing its table so runs into

@@ -64,7 +64,20 @@ int RunPrecisionTable(Platform platform, const std::string& table_name) {
   }
   table.Print(std::cout);
   DumpStatsSnapshot(table_name);
-  return 0;
+
+  ClaimCheck check;
+  for (auto& [cell, by_name] : cells) {
+    const double tdpm = by_name["TDPM"].mean_accu;
+    for (const auto& algo : kAlgorithmOrder) {
+      if (algo == "TDPM") continue;
+      check.Expect(tdpm > by_name[algo].mean_accu,
+                   GroupPrefix(platform) + std::to_string(cell.first) +
+                       " K=" + std::to_string(cell.second) + ": TDPM ACCU " +
+                       TableReporter::Cell(tdpm) + " > " + algo + " " +
+                       TableReporter::Cell(by_name[algo].mean_accu));
+    }
+  }
+  return check.ExitCode();
 }
 
 int RunRecallTable(Platform platform, const std::string& table_name) {

@@ -10,7 +10,8 @@
 namespace crowdselect::bench {
 
 /// Reproduces a precision table (paper Tables 3/5/7): ACCU for
-/// VSM/TSPM/DRM/TDPM over three groups x K in {10..50}.
+/// VSM/TSPM/DRM/TDPM over three groups x K in {10..50}. Returns 1 unless
+/// TDPM has the highest ACCU in every column (the table's claim).
 int RunPrecisionTable(Platform platform, const std::string& table_name);
 
 /// Reproduces a recall table (paper Tables 4/6/8): Top1/Top2 for the four

@@ -116,7 +116,7 @@ Result<jsonl::Object> RunWorkload(const Flags& flags) {
   std::fprintf(stderr, "train: %.2fs (%d EM iterations)\n",
                train_timer.ElapsedSeconds(), selector.fit().iterations);
 
-  // Stage 2: fold-in cold (distinct tasks, every query pays the CG
+  // Stage 2: fold-in cold (distinct tasks, every query pays the Newton
   // solve) vs warm (one repeated task, every query after the first is a
   // cache hit) through the trained engine's cache.
   const size_t num_foldin = static_cast<size_t>(flags.reps);

@@ -2,7 +2,7 @@
 // function of the worker-pool size and thread count, plus the fold-in
 // cache's effect on repeated-task latency. These back the serving
 // engine's two claims: the blocked parallel scan beats the pre-refactor
-// scalar loop at large pools, and a cache hit skips the CG subproblem.
+// scalar loop at large pools, and a cache hit skips the fold-in subproblem.
 #include <benchmark/benchmark.h>
 
 #include <map>
@@ -96,7 +96,7 @@ BENCHMARK(BM_ScanEngine)
     ->Unit(benchmark::kMicrosecond);
 
 // Fold-in fixture: a synthetic model (uniform language model, identity
-// priors) is enough — the CG subproblem's cost does not depend on where
+// priors) is enough — the fold-in subproblem's cost does not depend on where
 // beta came from.
 struct FoldFixture {
   TaskFolder folder;
@@ -124,7 +124,7 @@ struct FoldFixture {
 };
 
 // Per-query fold-in latency with the cache disabled (every query pays the
-// CG solve) vs enabled (every query after the first is a lookup). The
+// Newton solve) vs enabled (every query after the first is a lookup). The
 // task stream repeats one task — the cache's best case, and exactly the
 // redispatch pattern the cache exists for.
 void BM_FoldInRepeated(benchmark::State& state) {

@@ -4,10 +4,16 @@
 #ifndef CROWDSELECT_LINALG_GRADIENT_CHECK_H_
 #define CROWDSELECT_LINALG_GRADIENT_CHECK_H_
 
-#include "linalg/conjugate_gradient.h"
+#include <functional>
+
 #include "linalg/vector.h"
 
 namespace crowdselect {
+
+/// Objective interface: evaluate f(x) and its gradient at x.
+/// Returns the function value; writes the gradient into *grad
+/// (pre-sized to x.size()).
+using ObjectiveFn = std::function<double(const Vector& x, Vector* grad)>;
 
 struct GradientCheckReport {
   /// Largest absolute difference between the analytic and numeric gradient.

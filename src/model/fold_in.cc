@@ -48,6 +48,8 @@ FoldInResult TaskFolder::Posterior(const BagOfWords& bag) const {
       obs::MetricsRegistry::Global().GetCounter("foldin.cg.iterations");
   static obs::Counter* empty_tasks =
       obs::MetricsRegistry::Global().GetCounter("foldin.empty_tasks");
+  static obs::Counter* unconverged =
+      obs::MetricsRegistry::Global().GetCounter("foldin.unconverged");
   obs::ScopedSpan span(meter);
 
   const size_t k = num_categories();
@@ -89,16 +91,19 @@ FoldInResult TaskFolder::Posterior(const BagOfWords& bag) const {
           problem.phi_weight_sum[d] += n * phi(p, d);
         }
       }
-      CgResult cg = internal::SolveLambdaC(problem, lambda, options_.cg);
-      cg_iterations->Increment(static_cast<uint64_t>(cg.iterations));
-      result.cg_iterations += cg.iterations;
-      result.cg_residual = cg.gradient_norm;
-      lambda = cg.x;
+      internal::LambdaCSolution solved =
+          internal::SolveLambdaC(problem, lambda);
+      cg_iterations->Increment(static_cast<uint64_t>(solved.iterations));
+      result.cg_iterations += solved.iterations;
+      result.cg_residual = solved.gradient_norm;
+      result.converged = result.converged && solved.converged;
+      lambda = std::move(solved.x);
       problem.UpdateNuSq(lambda, options_.nu_c_iterations,
                          options_.variance_floor);
     }
     result.lambda = std::move(lambda);
     result.nu_sq = problem.nu_sq;
+    if (!result.converged) unconverged->Increment();
   }
   return result;
 }

@@ -21,13 +21,19 @@ struct FoldInResult {
   /// sample from Normal(lambda, diag(nu_sq)) when the options request
   /// sampling (Algorithm 3 line 6).
   Vector category;
-  /// Cost of the CG subproblem that produced this posterior: total inner
-  /// iterations across the outer alternations, and the final gradient
-  /// max-norm. Both 0 for empty tasks (prior fallback). Travels with the
-  /// posterior through the serving fold-in cache, so a cache hit can
-  /// still report what its entry originally cost (see QueryStats).
+  /// Cost of the lambda_c subproblem that produced this posterior: total
+  /// Newton iterations across the outer alternations, and the final
+  /// gradient max-norm. Both 0 for empty tasks (prior fallback). The cg_
+  /// names predate the Newton solver. Travels with the posterior through
+  /// the serving fold-in cache, so a cache hit can still report what its
+  /// entry originally cost (see QueryStats).
   int cg_iterations = 0;
   double cg_residual = 0.0;
+  /// False when any outer alternation's solve stopped without meeting the
+  /// gradient tolerance; the posterior is then the last iterate, served
+  /// but counted in foldin.unconverged and flagged in EXPLAIN. True for
+  /// empty tasks (nothing was solved).
+  bool converged = true;
 };
 
 /// Reusable fold-in engine. Construction precomputes Sigma_c^{-1} and
@@ -35,8 +41,9 @@ struct FoldInResult {
 /// what the paper's running-time figures measure.
 class TaskFolder {
  public:
-  /// `params` is copied; options control the CG subproblem and whether
-  /// the selection-time category is sampled or the mean.
+  /// `params` is copied; options control the nu_c fixed point, the
+  /// variance floor and whether the selection-time category is sampled
+  /// or the mean.
   static Result<TaskFolder> Create(const TdpmModelParams& params,
                                    TdpmOptions options);
 
@@ -46,7 +53,7 @@ class TaskFolder {
   FoldInResult FoldIn(const BagOfWords& bag, Rng* rng = nullptr) const;
 
   /// The deterministic posterior part of FoldIn(): fills `lambda` and
-  /// `nu_sq` but leaves `category` empty. This is the expensive CG
+  /// `nu_sq` but leaves `category` empty. This is the expensive Newton
   /// subproblem and is what the serving engine's fold-in cache stores —
   /// sampling (when enabled) must stay per-query, so it is applied
   /// afterwards by FinalizeCategory().

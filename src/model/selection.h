@@ -44,7 +44,7 @@ class TdpmSelector : public CrowdModel {
 
   /// SelectTopK with the EXPLAIN payload: identical ranking, plus the
   /// engine's request-scoped QueryStats (snapshot version, cache outcome,
-  /// CG cost, stage latencies, score decomposition) in `*stats`.
+  /// solve cost, stage latencies, score decomposition) in `*stats`.
   Result<std::vector<RankedWorker>> SelectTopKExplained(
       const BagOfWords& task, size_t k,
       const std::vector<WorkerId>& candidates,

@@ -8,7 +8,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "linalg/conjugate_gradient.h"
 #include "linalg/matrix.h"
 #include "linalg/vector.h"
 #include "util/status.h"
@@ -24,10 +23,6 @@ struct TdpmOptions {
   /// Stop when the relative ELBO improvement falls below this
   /// (Algorithm 2's epsilon).
   double em_tolerance = 1e-5;
-  /// Conjugate-gradient settings for the (lambda_c) subproblem. The
-  /// subproblem is convex and warm-started from the previous outer
-  /// iteration, so a modest budget suffices.
-  CgOptions cg{.max_iterations = 60, .gradient_tolerance = 1e-4};
   /// Inner fixed-point iterations for nu_c^2.
   int nu_c_iterations = 8;
   /// Constrain Sigma_w / Sigma_c to diagonal ("special way" in §4.3.1;

@@ -2,10 +2,11 @@
 //
 // The E-step alternates closed-form coordinate updates for the worker
 // posteriors (Eqs. 10-11) and token responsibilities/bound parameters
-// (Eqs. 12-13) with a conjugate-gradient subproblem for each task's
-// category mean lambda_c (Eq. 14) and a fixed-point iteration for its
-// variances nu_c^2 (Eq. 15). The M-step applies the closed forms of
-// Eqs. 16-21. See DESIGN.md for the corrected derivations.
+// (Eqs. 12-13) with a convex subproblem for each task's category mean
+// lambda_c (Eq. 14, solved by damped Newton where the paper uses CG) and
+// a fixed-point iteration for its variances nu_c^2 (Eq. 15). The M-step
+// applies the closed forms of Eqs. 16-21. See DESIGN.md for the corrected
+// derivations.
 #ifndef CROWDSELECT_MODEL_VARIATIONAL_H_
 #define CROWDSELECT_MODEL_VARIATIONAL_H_
 
@@ -105,15 +106,34 @@ struct LambdaCProblem {
   /// Negative per-task evidence bound as a function of lambda (convex).
   double Objective(const Vector& lambda, Vector* grad) const;
 
+  /// Closed-form Hessian of Objective at lambda:
+  /// Sigma_c^{-1} + H + (L/eps) diag(exp(lambda + nu^2 / 2)).
+  Matrix Hessian(const Vector& lambda) const;
+
   /// Damped fixed point for nu_c^2 (Eq. 15 corrected), updating `nu_sq`.
   void UpdateNuSq(const Vector& lambda, int iterations, double floor);
 };
 
-/// Runs the conjugate-gradient driver for one (lambda_c) subproblem
-/// starting from `init`. Shared by the batch E-step and the fold-in path,
-/// which build the same LambdaCProblem (fold-in just has no score terms).
-CgResult SolveLambdaC(const LambdaCProblem& problem, const Vector& init,
-                      const CgOptions& options);
+/// Outcome of one (lambda_c) solve.
+struct LambdaCSolution {
+  Vector x;                    ///< Final iterate.
+  double value = 0.0;          ///< Objective at x.
+  double gradient_norm = 0.0;  ///< Max-norm of the gradient at x.
+  /// Newton iterations run, counting the last one, whose stopping test
+  /// ended the solve; so at least 1, even when `init` already met it.
+  int iterations = 0;
+  /// Whether the gradient max-norm fell below the tolerance. False when
+  /// the iteration cap ran out, the line search stalled, or the objective
+  /// or gradient was not finite (x is then the last accepted iterate).
+  bool converged = false;
+};
+
+/// Minimizes the (lambda_c) subproblem by damped Newton from `init`:
+/// the closed-form Hessian, Armijo backtracking from the full step, and a
+/// stop when the gradient max-norm is below 1e-4 or at a fixed iteration
+/// cap. Shared by the batch E-step and the fold-in path, which build the
+/// same LambdaCProblem (fold-in just has no score terms).
+LambdaCSolution SolveLambdaC(const LambdaCProblem& problem, const Vector& init);
 
 /// phi and eps updates (Eqs. 12-13) for one task given lambda_c and beta.
 /// `log_beta` is the K x V matrix of log beta values.

@@ -72,6 +72,7 @@ bool FoldInCache::Lookup(uint64_t ns, uint64_t key, FoldInResult* out) {
   // entry originally cost, so EXPLAIN can show it without re-solving.
   out->cg_iterations = it->second->cg_iterations;
   out->cg_residual = it->second->cg_residual;
+  out->converged = it->second->converged;
   ++hits_;
   Counters().hits->Increment();
   RecordCacheFlightEvent(obs::FlightEventType::kCacheHit, ns, key);
@@ -88,6 +89,7 @@ void FoldInCache::Insert(uint64_t ns, uint64_t key, const FoldInResult& value) {
     it->second->nu_sq = value.nu_sq;
     it->second->cg_iterations = value.cg_iterations;
     it->second->cg_residual = value.cg_residual;
+    it->second->converged = value.converged;
     lru_.splice(lru_.begin(), lru_, it->second);
     return;
   }
@@ -99,7 +101,7 @@ void FoldInCache::Insert(uint64_t ns, uint64_t key, const FoldInResult& value) {
   }
   lru_.push_front(
       Entry{Key{ns, key}, value.lambda, value.nu_sq, value.cg_iterations,
-            value.cg_residual});
+            value.cg_residual, value.converged});
   index_[Key{ns, key}] = lru_.begin();
 }
 

@@ -4,7 +4,7 @@
 // hash is a 64-bit content hash of the task's bag-of-words. Repeated or
 // re-dispatched tasks skip the fold-in subproblem entirely: a hit is a
 // mutex-guarded map lookup plus two Vector copies, microseconds against
-// the CG solve's hundreds.
+// the fold-in solve's tens.
 //
 // The namespace half of the key exists because two models can project
 // the *same* task text to entirely different latent spaces — a
@@ -46,9 +46,10 @@ class FoldInCache {
   explicit FoldInCache(size_t capacity);
 
   /// On hit, copies the cached posterior (lambda, nu_sq; category left
-  /// empty) into `out` and refreshes recency. Counts serve.cache.hits /
-  /// serve.cache.misses. Entries inserted under a different `ns` never
-  /// hit, regardless of `key`.
+  /// empty) with its solve cost and convergence flag into `out` and
+  /// refreshes recency. Counts serve.cache.hits / serve.cache.misses.
+  /// Entries inserted under a different `ns` never hit, regardless of
+  /// `key`.
   bool Lookup(uint64_t ns, uint64_t key, FoldInResult* out);
 
   /// Inserts or refreshes (`ns`, `key`); evicts the least-recently-used
@@ -95,6 +96,7 @@ class FoldInCache {
     Vector nu_sq;
     int cg_iterations = 0;    ///< Cost of the solve that filled this entry.
     double cg_residual = 0.0;
+    bool converged = true;    ///< Whether that solve met its tolerance.
   };
 
   const size_t capacity_;

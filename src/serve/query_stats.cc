@@ -51,6 +51,7 @@ std::string QueryStats::ToJson() const {
   out += "  \"foldin\": {\"used\": " + std::string(Bool(used_foldin)) +
          ", \"cache_hit\": " + Bool(cache_hit) +
          ", \"cg_iterations\": " + std::to_string(cg_iterations) +
+         ", \"converged\": " + Bool(converged) +
          ", \"cg_residual\": " + Num(cg_residual) +
          ", \"sampled_category\": " + Bool(sampled_category) + "},\n";
   out += "  \"latency_us\": {\"foldin\": " + Num(foldin_us) +
@@ -100,10 +101,10 @@ std::string QueryStats::ToText(size_t top_terms) const {
   out += StringPrintf("  candidates  %zu validated, k=%zu\n", num_candidates, k);
   if (used_foldin) {
     out += StringPrintf(
-        "  fold-in     cache %s; CG %d iterations, residual %.3g; "
+        "  fold-in     cache %s; Newton %d iterations, residual %.3g, %s; "
         "category = %s; %.1f us\n",
         cache_hit ? "HIT (cost below is the cached solve's)" : "MISS",
-        cg_iterations, cg_residual,
+        cg_iterations, cg_residual, converged ? "converged" : "NOT CONVERGED",
         sampled_category ? "sampled" : "posterior mean", foldin_us);
   } else {
     out += "  fold-in     skipped (caller supplied the category vector)\n";

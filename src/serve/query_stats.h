@@ -1,7 +1,7 @@
 // Request-scoped query introspection (the EXPLAIN machinery): a
 // QueryStats passed into SelectionEngine::SelectTopK collects everything
 // one crowd-selection query did — which snapshot version it scanned,
-// whether the fold-in cache hit, how many CG iterations the fold-in
+// whether the fold-in cache hit, how many Newton iterations the fold-in
 // cost, per-stage latencies, and the per-candidate score decomposition
 // w_i . c_j for the returned top-k with ranking margins.
 //
@@ -73,11 +73,15 @@ struct QueryStats {
   // --- Fold-in -------------------------------------------------------------
   bool used_foldin = false;   ///< False for RankByCategory-style queries.
   bool cache_hit = false;
-  /// CG cost of the solve that produced the served posterior. On a cache
-  /// hit this is the *cached entry's* original cost (nothing was solved
-  /// for this query); `cache_hit` disambiguates.
+  /// Newton cost of the solve that produced the served posterior (the
+  /// cg_ names predate the Newton solver). On a cache hit this is the
+  /// *cached entry's* original cost (nothing was solved for this query);
+  /// `cache_hit` disambiguates.
   int cg_iterations = 0;
   double cg_residual = 0.0;
+  /// Whether that solve met its gradient tolerance; an unconverged
+  /// posterior is still served, but flagged here.
+  bool converged = true;
   bool sampled_category = false;  ///< c_j sampled vs. posterior mean.
 
   // --- Latencies (microseconds) -------------------------------------------

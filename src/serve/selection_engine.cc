@@ -89,6 +89,7 @@ Result<FoldInResult> SelectionEngine::Project(const BagOfWords& task,
     stats->cache_hit = hit;
     stats->cg_iterations = projected.cg_iterations;
     stats->cg_residual = projected.cg_residual;
+    stats->converged = projected.converged;
     stats->sampled_category = folder_->samples_category() && rng != nullptr;
   }
   return projected;

@@ -92,7 +92,7 @@ class SelectionEngine {
   /// the fold-in cache, and ranks by w_i . c_j.
   ///
   /// When `stats` is non-null the query additionally records its EXPLAIN
-  /// payload (snapshot version, cache hit, CG cost, stage latencies,
+  /// payload (snapshot version, cache hit, solve cost, stage latencies,
   /// score decomposition) into it. The returned ranking is byte-identical
   /// with and without stats; collecting the cutoff score scans one extra
   /// rank internally.
@@ -117,7 +117,7 @@ class SelectionEngine {
   /// Projects a task through the fold-in cache (posterior cached;
   /// sampling, when configured, applied per call). Exposed for benches
   /// and for TdpmSelector::ProjectTask. With `stats`, records the cache
-  /// outcome and CG cost of the served posterior.
+  /// outcome, solve cost and convergence of the served posterior.
   Result<FoldInResult> Project(const BagOfWords& task, Rng* rng = nullptr,
                                QueryStats* stats = nullptr) const;
 

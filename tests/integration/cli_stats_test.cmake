@@ -96,8 +96,8 @@ foreach(line "# TYPE crowdselect_serve_queries counter"
 endforeach()
 
 # EXPLAIN: train a model, then the explain command must render the plan —
-# stage latencies, cache outcome, CG iterations, score decomposition —
-# and its ranking must be byte-identical to a plain select.
+# stage latencies, cache outcome, Newton iterations and convergence, score
+# decomposition — and its ranking must be byte-identical to a plain select.
 execute_process(
   COMMAND "${CLI}" train --data "${WORK_DIR}/world"
           --model "${WORK_DIR}/model.bin" --k 6 --iters 4
@@ -115,7 +115,7 @@ if(NOT rc EQUAL 0)
   message(FATAL_ERROR "crowdselect_cli explain failed (rc=${rc})")
 endif()
 foreach(needle "EXPLAIN crowd-selection query" "snapshot" "cache MISS"
-        "CG [0-9]+ iterations" "fold-in" "scan" "total" "ranking" "#1"
+        "Newton [0-9]+ iterations" "converged" "fold-in" "scan" "total" "ranking" "#1"
         "margin" "cutoff")
   if(NOT explain_out MATCHES "${needle}")
     message(FATAL_ERROR "explain output missing '${needle}':\n${explain_out}")
@@ -123,7 +123,7 @@ foreach(needle "EXPLAIN crowd-selection query" "snapshot" "cache MISS"
 endforeach()
 
 file(READ "${WORK_DIR}/explain.json" explain_json)
-foreach(field "\"snapshot\"" "\"cache_hit\"" "\"cg_iterations\""
+foreach(field "\"snapshot\"" "\"cache_hit\"" "\"cg_iterations\"" "\"converged\""
         "\"latency_us\"" "\"ranking\"" "\"terms\"")
   if(NOT explain_json MATCHES "${field}")
     message(FATAL_ERROR "explain.json missing ${field}:\n${explain_json}")

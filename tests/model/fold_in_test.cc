@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+
+#include "obs/metrics.h"
 
 namespace crowdselect {
 namespace {
@@ -41,11 +44,43 @@ TEST(FoldInTest, ProjectsOntoDominantCategory) {
   for (TermId v = 0; v < 8; ++v) topic0.Add(v, 2);
   FoldInResult r0 = folder->FoldIn(topic0);
   EXPECT_GT(r0.lambda[0], r0.lambda[1]);
+  EXPECT_TRUE(r0.converged);
+  EXPECT_LT(r0.cg_residual, 1e-4);
+  EXPECT_GT(r0.cg_iterations, 0);
 
   BagOfWords topic1;
   for (TermId v = 12; v < 20; ++v) topic1.Add(v, 2);
   FoldInResult r1 = folder->FoldIn(topic1);
   EXPECT_GT(r1.lambda[1], r1.lambda[0]);
+}
+
+TEST(FoldInTest, NonFiniteSolveIsFlaggedAndCounted) {
+  // A NaN in beta makes the responsibilities of any task that uses the
+  // term, and with them the lambda_c objective, non-finite.
+  TdpmModelParams params = TwoTopicParams();
+  params.beta(0, 3) = std::numeric_limits<double>::quiet_NaN();
+  auto folder = TaskFolder::Create(params, Options());
+  ASSERT_TRUE(folder.ok());
+  obs::Counter* unconverged =
+      obs::MetricsRegistry::Global().GetCounter("foldin.unconverged");
+  const uint64_t before = unconverged->Value();
+
+  BagOfWords bag;
+  bag.Add(3, 2);
+  bag.Add(12, 1);
+  const FoldInResult r = folder->Posterior(bag);
+  EXPECT_FALSE(r.converged);
+  EXPECT_EQ(unconverged->Value(), before + 1);
+  // The solve accepted no step, so the posterior mean stays the finite
+  // prior mean it started from.
+  EXPECT_DOUBLE_EQ(r.lambda[0], 0.0);
+  EXPECT_DOUBLE_EQ(r.lambda[1], 0.0);
+
+  // A task without the poisoned term still converges, uncounted.
+  BagOfWords clean;
+  clean.Add(12, 2);
+  EXPECT_TRUE(folder->Posterior(clean).converged);
+  EXPECT_EQ(unconverged->Value(), before + 1);
 }
 
 TEST(FoldInTest, EmptyTaskFallsBackToPrior) {

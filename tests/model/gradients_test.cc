@@ -1,9 +1,11 @@
-// Verifies the re-derived analytic gradient of the per-task evidence-bound
-// subproblem (DESIGN.md "Corrections to the paper's appendix") against
-// central differences.
+// Verifies the re-derived analytic gradient and Hessian of the per-task
+// evidence-bound subproblem (DESIGN.md "Corrections to the paper's
+// appendix") against central differences, and that the Newton solver
+// returns its stationary point.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "linalg/cholesky.h"
 #include "linalg/gradient_check.h"
@@ -107,6 +109,119 @@ TEST(LambdaCObjectiveTest, ConvexAlongRandomSegments) {
     const double fm = fx.problem.Objective(mid, &grad);
     EXPECT_LE(fm, 0.5 * (fa + fb) + 1e-9);
   }
+}
+
+TEST(LambdaCHessianTest, MatchesNumericDerivativeOfGradient) {
+  for (bool with_scores : {false, true}) {
+    ProblemFixture fx = MakeProblem(7, with_scores, 61);
+    fx.problem.sigma_c_inv = &fx.sigma_c_inv;
+    fx.problem.mu_c = &fx.mu_c;
+    Rng rng(62);
+    Vector x(7);
+    for (size_t i = 0; i < 7; ++i) x[i] = rng.Normal(0.0, 0.7);
+    const Matrix hessian = fx.problem.Hessian(x);
+    for (size_t col = 0; col < 7; ++col) {
+      // Column `col` is the central difference of the gradient along e_col.
+      const double h = 1e-6;
+      Vector plus = x, minus = x;
+      plus[col] += h;
+      minus[col] -= h;
+      Vector g_plus(7), g_minus(7);
+      fx.problem.Objective(plus, &g_plus);
+      fx.problem.Objective(minus, &g_minus);
+      for (size_t row = 0; row < 7; ++row) {
+        const double numeric = (g_plus[row] - g_minus[row]) / (2.0 * h);
+        EXPECT_NEAR(hessian(row, col), numeric,
+                    1e-5 * std::max(1.0, std::fabs(numeric)))
+            << "with_scores=" << with_scores << " (" << row << ", " << col
+            << ")";
+      }
+    }
+  }
+}
+
+// The Newton solve must land on the stationary point of the convex
+// objective: gradient max-norm under the 1e-4 tolerance, `converged` set,
+// and no random perturbation of the answer doing better.
+class LambdaCSolveSweep
+    : public ::testing::TestWithParam<std::tuple<size_t, bool>> {};
+
+TEST_P(LambdaCSolveSweep, ReturnsTheStationaryPoint) {
+  const auto [k, with_scores] = GetParam();
+  ProblemFixture fx = MakeProblem(k, with_scores, 300 + k);
+  fx.problem.sigma_c_inv = &fx.sigma_c_inv;
+  fx.problem.mu_c = &fx.mu_c;
+  Rng rng(301 + k);
+  Vector init(k);
+  for (size_t i = 0; i < k; ++i) init[i] = rng.Normal(0.0, 0.7);
+
+  const internal::LambdaCSolution solved =
+      internal::SolveLambdaC(fx.problem, init);
+  EXPECT_TRUE(solved.converged);
+  Vector grad(k);
+  const double value = fx.problem.Objective(solved.x, &grad);
+  EXPECT_LT(grad.MaxAbs(), 1e-4);
+  EXPECT_DOUBLE_EQ(value, solved.value);
+  EXPECT_DOUBLE_EQ(grad.MaxAbs(), solved.gradient_norm);
+  EXPECT_GT(solved.iterations, 0);
+  for (double scale : {1e-1, 1e-2, 1e-3}) {
+    for (int trial = 0; trial < 20; ++trial) {
+      Vector perturbed = solved.x;
+      for (size_t i = 0; i < k; ++i) perturbed[i] += scale * rng.Normal();
+      EXPECT_LE(value, fx.problem.Objective(perturbed, &grad))
+          << "scale " << scale << " trial " << trial;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Dims, LambdaCSolveSweep,
+    ::testing::Combine(::testing::Values<size_t>(1, 30), ::testing::Bool()));
+
+TEST(LambdaCSolveTest, BacktracksOnALongDocument) {
+  // Many tokens under a small eps make L/eps large, and a start far below
+  // the optimum makes the full Newton step overshoot into the exp terms,
+  // so the line search has to shorten the first steps.
+  for (bool with_scores : {false, true}) {
+    ProblemFixture fx = MakeProblem(10, with_scores, 7);
+    fx.problem.sigma_c_inv = &fx.sigma_c_inv;
+    fx.problem.mu_c = &fx.mu_c;
+    fx.problem.total_tokens = 2000.0;
+    fx.problem.eps = 0.2;
+    for (size_t i = 0; i < 10; ++i) {
+      fx.problem.phi_weight_sum[i] = 200.0 + 20.0 * static_cast<double>(i);
+    }
+    const Vector init(10, -10.0);
+    Vector grad(10);
+    const double start = fx.problem.Objective(init, &grad);
+    auto chol = Cholesky::Factorize(fx.problem.Hessian(init));
+    ASSERT_TRUE(chol.ok());
+    Vector full_step = init;
+    full_step.Axpy(-1.0, chol->Solve(grad));
+    Vector unused(10);
+    const double after_full_step = fx.problem.Objective(full_step, &unused);
+    ASSERT_FALSE(after_full_step < start) << "the full step must overshoot";
+
+    const internal::LambdaCSolution solved =
+        internal::SolveLambdaC(fx.problem, init);
+    EXPECT_TRUE(solved.converged) << "with_scores=" << with_scores;
+    EXPECT_LT(solved.gradient_norm, 1e-4);
+    EXPECT_LT(solved.value, start);
+  }
+}
+
+TEST(LambdaCSolveTest, NonFiniteObjectiveIsNotConverged) {
+  ProblemFixture fx = MakeProblem(4, false, 9);
+  fx.problem.sigma_c_inv = &fx.sigma_c_inv;
+  fx.problem.mu_c = &fx.mu_c;
+  fx.problem.phi_weight_sum[2] = std::numeric_limits<double>::quiet_NaN();
+  const Vector init(4, 0.1);
+  const internal::LambdaCSolution solved =
+      internal::SolveLambdaC(fx.problem, init);
+  EXPECT_FALSE(solved.converged);
+  EXPECT_EQ(solved.iterations, 1);
+  // Nothing was accepted, so the start comes back unchanged.
+  for (size_t i = 0; i < 4; ++i) EXPECT_EQ(solved.x[i], init[i]);
 }
 
 TEST(NuSqFixedPointTest, ConvergesToStationaryCondition) {

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
+#include <string>
 
 #include "crowdselect/crowdselect.h"
 
@@ -14,6 +16,19 @@ struct PropertyCase {
   size_t k;
   FeedbackModel feedback;
 };
+
+std::string Label(const PropertyCase& property_case) {
+  return "K" + std::to_string(property_case.k) +
+         (property_case.feedback == FeedbackModel::kBestAnswer ? "_BestAnswer"
+                                                                : "_ThumbsUp");
+}
+
+// gtest's default printer dumps the object's bytes, padding included, and
+// --gtest_list_tests (hence every ctest name) embeds that dump; printing
+// the label keeps the test names the same from one build to the next.
+void PrintTo(const PropertyCase& property_case, std::ostream* os) {
+  *os << Label(property_case);
+}
 
 class TrainingInvariantSweep : public ::testing::TestWithParam<PropertyCase> {
 };
@@ -111,10 +126,7 @@ INSTANTIATE_TEST_SUITE_P(
                       PropertyCase{5, FeedbackModel::kBestAnswer},
                       PropertyCase{8, FeedbackModel::kBestAnswer}),
     [](const ::testing::TestParamInfo<PropertyCase>& param_info) {
-      return "K" + std::to_string(param_info.param.k) +
-             (param_info.param.feedback == FeedbackModel::kBestAnswer
-                  ? "_BestAnswer"
-                  : "_ThumbsUp");
+      return Label(param_info.param);
     });
 
 // Selection consistency: SelectTopK(k) must be a prefix of

@@ -69,7 +69,6 @@ TdpmOptions FastOptions(size_t k, int iterations = 15) {
   options.num_categories = k;
   options.max_em_iterations = iterations;
   options.seed = 5;
-  options.cg.max_iterations = 40;
   return options;
 }
 

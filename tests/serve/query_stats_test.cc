@@ -3,12 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <numeric>
 #include <string>
 #include <vector>
 
 #include "model/selection.h"
+#include "obs/metrics.h"
 #include "serve/selection_engine.h"
 #include "serve/skill_matrix.h"
 #include "util/logging.h"
@@ -121,6 +123,42 @@ TEST(QueryStatsTest, CacheMissThenHitPreservesCgCost) {
   EXPECT_DOUBLE_EQ(hit.cg_residual, miss.cg_residual);
 }
 
+// An unconverged fold-in is served, but counted once in
+// foldin.unconverged on the miss that solved it, and flagged in EXPLAIN
+// on that miss and on the cache hit that replays its entry.
+TEST(QueryStatsTest, UnconvergedFoldInIsCountedCachedAndFlagged) {
+  // A NaN in beta makes the lambda_c objective of any task using the term
+  // non-finite, so its solve cannot meet the tolerance.
+  TdpmModelParams params = TdpmModelParams::Init(3, 100);
+  params.beta(1, 23) = std::numeric_limits<double>::quiet_NaN();
+  TdpmOptions options;
+  options.num_categories = 3;
+  auto folder = TaskFolder::Create(params, options);
+  ASSERT_TRUE(folder.ok());
+  SelectionEngine engine;
+  engine.SetFolder(std::move(*folder));
+  engine.PublishSnapshot(RandomSnapshot(16, 3, 47));
+  obs::Counter* unconverged =
+      obs::MetricsRegistry::Global().GetCounter("foldin.unconverged");
+  const uint64_t before = unconverged->Value();
+
+  QueryStats miss;
+  ASSERT_TRUE(
+      engine.SelectTopK(SampleTask(), 2, AllWorkers(16), nullptr, &miss).ok());
+  EXPECT_FALSE(miss.cache_hit);
+  EXPECT_FALSE(miss.converged);
+  EXPECT_EQ(unconverged->Value(), before + 1);
+
+  QueryStats hit;
+  ASSERT_TRUE(
+      engine.SelectTopK(SampleTask(), 2, AllWorkers(16), nullptr, &hit).ok());
+  EXPECT_TRUE(hit.cache_hit);
+  EXPECT_FALSE(hit.converged);  // The cache entry carries the flag.
+  EXPECT_EQ(unconverged->Value(), before + 1);  // Nothing was re-solved.
+  EXPECT_NE(hit.ToJson().find("\"converged\": false"), std::string::npos);
+  EXPECT_NE(hit.ToText().find("NOT CONVERGED"), std::string::npos);
+}
+
 TEST(QueryStatsTest, BreakdownTermsSumToScore) {
   auto engine = MakeEngine(24, 5, 33);
   QueryStats stats;
@@ -209,7 +247,7 @@ TEST(QueryStatsTest, ToJsonAndToTextCarryTheRequiredFields) {
   const std::string json = stats.ToJson();
   for (const char* field :
        {"\"snapshot\"", "\"version\"", "\"cache_hit\"", "\"cg_iterations\"",
-        "\"latency_us\"", "\"foldin\"", "\"scan\"", "\"total\"",
+        "\"converged\": true", "\"latency_us\"", "\"foldin\"", "\"scan\"", "\"total\"",
         "\"ranking\"", "\"terms\"", "\"margin\"", "\"cutoff\""}) {
     EXPECT_NE(json.find(field), std::string::npos) << field;
   }
@@ -217,7 +255,8 @@ TEST(QueryStatsTest, ToJsonAndToTextCarryTheRequiredFields) {
   const std::string text = stats.ToText();
   for (const char* needle :
        {"EXPLAIN crowd-selection query", "snapshot", "fold-in", "cache MISS",
-        "CG", "iterations", "scan", "total", "ranking", "cutoff"}) {
+        "Newton", "iterations", "converged", "scan", "total", "ranking",
+        "cutoff"}) {
     EXPECT_NE(text.find(needle), std::string::npos) << needle;
   }
   // The text plan lists exactly the returned ranks.

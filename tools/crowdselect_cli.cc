@@ -29,7 +29,7 @@
 // --foldin-cache N, and simulate accepts --live-updates 1 (see
 // serve/selection_engine.h). `explain` (or `select --explain-out FILE`)
 // attaches a serve::QueryStats to the query and renders the EXPLAIN plan:
-// snapshot version, fold-in cache hit/miss, CG iterations, per-stage
+// snapshot version, fold-in cache hit/miss, Newton iterations, per-stage
 // latencies, and the per-candidate score decomposition.
 //
 // Crowd models (docs/models.md): select/explain accept --model as either
