@@ -33,7 +33,13 @@ std::vector<SelectorFactory> StandardSelectorFactories(size_t k,
     options.seed = seed;
     options.max_em_iterations = 30;
     options.num_threads = 0;  // Use all cores for the E-step.
-    return std::make_unique<TdpmSelector>(options);
+    // No fold-in cache: the runtime figures cycle a fixed task set, so
+    // with the cache on every query after the first pass would be a hit
+    // instead of the category estimation they time. Callers that query
+    // each case once see no difference.
+    serve::ServeOptions serve_options;
+    serve_options.foldin_cache_capacity = 0;
+    return std::make_unique<TdpmSelector>(options, serve_options);
   });
   return factories;
 }

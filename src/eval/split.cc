@@ -43,6 +43,10 @@ Result<EvalSplit> MakeSplit(const SyntheticDataset& dataset,
   if (eligible.size() > options.num_test_tasks) {
     eligible.resize(options.num_test_tasks);
   }
+  // The world draws answer slots by participation weight, so slot order
+  // ranks the answerers; shuffle it away so no selector can score off
+  // the order it is handed candidates in.
+  for (EvalCase& test_case : eligible) rng.Shuffle(&test_case.candidates);
 
   std::unordered_set<TaskId> test_tasks;
   for (const auto& c : eligible) test_tasks.insert(c.task);

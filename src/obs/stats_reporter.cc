@@ -342,51 +342,31 @@ Result<std::unique_ptr<PeriodicStatsExporter>> PeriodicStatsExporter::Create(
         "exporter interval must be > 0 seconds (got " +
         std::to_string(interval_seconds) + ")");
   }
-  return std::make_unique<PeriodicStatsExporter>(std::move(path),
-                                                 interval_seconds, reporter);
+  // The constructor is private, so std::make_unique cannot reach it.
+  return std::unique_ptr<PeriodicStatsExporter>(new PeriodicStatsExporter(
+      std::move(path), interval_seconds, reporter));
 }
 
 PeriodicStatsExporter::PeriodicStatsExporter(std::string path,
                                              double interval_seconds,
                                              StatsReporter reporter)
     : path_(std::move(path)), reporter_(reporter) {
-  thread_ = std::thread([this, interval_seconds] { Loop(interval_seconds); });
+  // A failed background write is retried on the next tick; Stop()
+  // reports the final write's status.
+  thread_.Start(std::chrono::duration<double>(interval_seconds),
+                [this] { (void)WriteOnce(); });
 }
 
-void PeriodicStatsExporter::Loop(double interval_seconds) {
-  const auto interval = std::chrono::duration<double>(
-      interval_seconds > 0 ? interval_seconds : 1.0);
-  // cs:lock(obs.stats)
-  std::unique_lock<std::mutex> lock(mu_);
-  while (!stopping_) {
-    if (cv_.wait_for(lock, interval, [this] { return stopping_; })) break;
-    lock.unlock();
-    if (reporter_.WritePrometheusFile(path_).ok()) {
-      writes_.fetch_add(1, std::memory_order_relaxed);
-    }
-    // lock-order: reacquiring the exporter's only mutex; nothing else is
-    // held across the file write.
-    lock.lock();
-  }
-}
-
-Status PeriodicStatsExporter::Stop() {
-  {
-    // cs:lock(obs.stats)
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopped_) return Status::OK();
-    stopping_ = true;
-  }
-  cv_.notify_all();
-  if (thread_.joinable()) thread_.join();
-  {
-    // cs:lock(obs.stats)
-    std::lock_guard<std::mutex> lock(mu_);
-    stopped_ = true;
-  }
+Status PeriodicStatsExporter::WriteOnce() {
   const Status st = reporter_.WritePrometheusFile(path_);
   if (st.ok()) writes_.fetch_add(1, std::memory_order_relaxed);
   return st;
+}
+
+Status PeriodicStatsExporter::Stop() {
+  if (stopped_.exchange(true)) return Status::OK();
+  thread_.Stop();
+  return WriteOnce();
 }
 
 PeriodicStatsExporter::~PeriodicStatsExporter() {

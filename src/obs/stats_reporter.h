@@ -9,15 +9,13 @@
 #define CROWDSELECT_OBS_STATS_REPORTER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <iosfwd>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/periodic_thread.h"
 #include "util/status.h"
 
 namespace crowdselect::obs {
@@ -75,16 +73,13 @@ class StatsReporter {
 /// into a scrape target for the textfile collector.
 class PeriodicStatsExporter {
  public:
-  /// Validating factory: rejects `interval_seconds <= 0` (and NaN) with
-  /// InvalidArgument instead of silently clamping, so a misconfigured
-  /// `--prom-interval-ms 0` fails loudly at startup. Prefer this over
-  /// the constructor, which keeps the legacy clamp-to-1s behaviour.
+  /// Rejects an empty path and `interval_seconds <= 0` (and NaN) with
+  /// InvalidArgument, so a misconfigured `--prom-interval-ms 0` fails
+  /// loudly at startup; otherwise starts the background writes.
   static Result<std::unique_ptr<PeriodicStatsExporter>> Create(
       std::string path, double interval_seconds,
       StatsReporter reporter = StatsReporter());
 
-  PeriodicStatsExporter(std::string path, double interval_seconds,
-                        StatsReporter reporter = StatsReporter());
   ~PeriodicStatsExporter();
 
   PeriodicStatsExporter(const PeriodicStatsExporter&) = delete;
@@ -98,16 +93,17 @@ class PeriodicStatsExporter {
   uint64_t writes() const { return writes_.load(std::memory_order_relaxed); }
 
  private:
-  void Loop(double interval_seconds);
+  PeriodicStatsExporter(std::string path, double interval_seconds,
+                        StatsReporter reporter);
+
+  Status WriteOnce();
 
   const std::string path_;
   StatsReporter reporter_;
   std::atomic<uint64_t> writes_{0};
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool stopping_ = false;
-  bool stopped_ = false;
-  std::thread thread_;
+  std::atomic<bool> stopped_{false};
+  // Declared last so it is joined before the members its writes read die.
+  PeriodicThread thread_;
 };
 
 /// Serializes a standalone metrics snapshot (no trace data) as JSON with

@@ -1,7 +1,6 @@
 #include "obs/timeseries.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -103,61 +102,6 @@ size_t TimeSeriesStore::SampleRegistry(double t, MetricsRegistry* registry) {
       .GetGauge("timeseries.series")
       ->Set(static_cast<double>(num_series()));
   return appended;
-}
-
-void TimeSeriesStore::StartSampling(double interval_seconds,
-                                    MetricsRegistry* registry) {
-  // cs:lock(obs.timeseries.sampler)
-  std::unique_lock<lockdep::Mutex> lock(sampler_mu_);
-  if (sampler_thread_.joinable()) return;
-  sampler_stopping_ = false;
-  sampler_thread_ =
-      std::thread(&TimeSeriesStore::SamplingLoop, this,
-                  interval_seconds > 0 ? interval_seconds : 1.0, registry);
-}
-
-void TimeSeriesStore::StopSampling() {
-  std::thread to_join;
-  {
-    // cs:lock(obs.timeseries.sampler)
-    std::unique_lock<lockdep::Mutex> lock(sampler_mu_);
-    if (!sampler_thread_.joinable()) return;
-    sampler_stopping_ = true;
-    sampler_cv_.notify_all();
-    to_join = std::move(sampler_thread_);
-  }
-  to_join.join();
-}
-
-bool TimeSeriesStore::sampling_running() const {
-  // cs:lock(obs.timeseries.sampler)
-  std::unique_lock<lockdep::Mutex> lock(sampler_mu_);
-  return sampler_thread_.joinable();
-}
-
-void TimeSeriesStore::SamplingLoop(double interval_seconds,
-                                   MetricsRegistry* registry) {
-  const auto start = std::chrono::steady_clock::now();
-  const auto interval = std::chrono::microseconds(
-      static_cast<int64_t>(interval_seconds * 1e6));
-  for (;;) {
-    {
-      // lock-order: obs.timeseries.sampler is released before
-      // SampleRegistry touches the registry or store mutex (leaf lock).
-      // cs:lock(obs.timeseries.sampler)
-      std::unique_lock<lockdep::Mutex> lock(sampler_mu_);
-      // The predicate sees a Stop that ran before this thread first
-      // waited, and keeps a spurious wakeup from sampling early.
-      if (sampler_cv_.wait_for(lock, interval,
-                               [this] { return sampler_stopping_; })) {
-        return;
-      }
-    }
-    const double t = std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - start)
-                         .count();
-    SampleRegistry(t, registry);
-  }
 }
 
 std::vector<std::string> TimeSeriesStore::SeriesNames() const {

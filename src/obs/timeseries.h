@@ -3,10 +3,9 @@
 // of (t, v) points — once full, appending overwrites oldest-first, so
 // memory is bounded no matter how long the process runs. Sampling is
 // caller-driven (SampleRegistry once per workload tick keeps replayed
-// runs deterministic) or background (a thread polling every N seconds
-// for long-lived servers); both walk MetricsRegistry::CurrentValues(),
-// the cheap no-history read path, so a tick never copies gauge
-// histories or histogram buckets.
+// runs deterministic) and walks MetricsRegistry::CurrentValues(), the
+// cheap no-history read path, so a tick never copies gauge histories or
+// histogram buckets.
 //
 // The export format is JSONL with one *flat* object per point —
 // {"series":"serve.queries","t":12,"v":340} — deliberately matching
@@ -19,25 +18,22 @@
 #ifndef CROWDSELECT_OBS_TIMESERIES_H_
 #define CROWDSELECT_OBS_TIMESERIES_H_
 
-#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "obs/metrics.h"
-#include "util/lockdep.h"
 #include "util/status.h"
 
 namespace crowdselect::obs {
 
-/// One sample of one series. `t` is whatever unit the sampler chose —
-/// task index for simulate ticks, seconds since sampling start for the
-/// background thread; a store mixes units only if its callers do.
+/// One sample of one series. `t` is whatever unit the sampler chose
+/// (the task index for simulate ticks); a store mixes units only if its
+/// callers do.
 struct TimeSeriesPoint {
   double t = 0.0;
   double v = 0.0;
@@ -55,7 +51,6 @@ class TimeSeriesStore {
   TimeSeriesStore() = default;
   TimeSeriesStore(const TimeSeriesStore&) = delete;
   TimeSeriesStore& operator=(const TimeSeriesStore&) = delete;
-  ~TimeSeriesStore() { StopSampling(); }
 
   /// Ring capacity for series created after the call (existing series
   /// keep their ring). Clamped to >= 2. Default 1024 points.
@@ -75,18 +70,6 @@ class TimeSeriesStore {
   /// number of points appended.
   size_t SampleRegistry(double t,
                         MetricsRegistry* registry = &MetricsRegistry::Global());
-
-  /// Spawns a thread calling SampleRegistry every `interval_seconds`
-  /// with t = seconds since StartSampling. Idempotent while running;
-  /// intervals <= 0 clamp to 1s. Pairs with StopSampling() (also run by
-  /// the destructor).
-  void StartSampling(double interval_seconds,
-                     MetricsRegistry* registry = &MetricsRegistry::Global());
-
-  /// Joins the sampling thread. Idempotent; safe when never started.
-  void StopSampling();
-
-  bool sampling_running() const;
 
   /// Registered series names, sorted.
   std::vector<std::string> SeriesNames() const;
@@ -118,22 +101,12 @@ class TimeSeriesStore {
   };
 
   bool AppendLocked(std::string_view series, double t, double v);
-  void SamplingLoop(double interval_seconds, MetricsRegistry* registry);
 
   mutable std::mutex mu_;
   size_t capacity_per_series_ = 1024;
   size_t max_series_ = 4096;
   uint64_t total_points_ = 0;
   std::map<std::string, Series, std::less<>> series_;
-
-  // Background sampling state; separate from mu_ so the loop never holds
-  // a lock across SampleRegistry (which takes mu_ per append). Lock
-  // order: obs.timeseries.sampler is a leaf — never held while acquiring
-  // mu_ or the registry mutex.
-  mutable lockdep::Mutex sampler_mu_{"obs.timeseries.sampler"};
-  std::condition_variable_any sampler_cv_;
-  bool sampler_stopping_ = false;
-  std::thread sampler_thread_;
 };
 
 }  // namespace crowdselect::obs

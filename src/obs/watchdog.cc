@@ -30,32 +30,9 @@ Watchdog& Watchdog::Global() {
 }
 
 void Watchdog::Start(double tick_ms) {
-  // cs:lock(obs.watchdog)
-  std::unique_lock<lockdep::Mutex> lock(mu_);
-  // thread_ is joinable iff running_ is true: Start sets both under
-  // mu_, and Stop clears both in one critical section below.
-  if (running_.load(std::memory_order_acquire)) return;
-  running_.store(true, std::memory_order_release);
-  thread_ = std::thread(&Watchdog::Loop, this, tick_ms <= 0 ? 50.0 : tick_ms,
-                        run_gen_);
-}
-
-void Watchdog::Stop() {
-  std::thread to_join;
-  {
-    // cs:lock(obs.watchdog)
-    std::unique_lock<lockdep::Mutex> lock(mu_);
-    if (!thread_.joinable()) return;
-    // Bumping the generation stops this loop thread and only it: a
-    // Start() that sneaks in before the join below spawns a new thread
-    // on the new generation without resurrecting the old one, and sees
-    // running_ already cleared here rather than after the join.
-    ++run_gen_;
-    running_.store(false, std::memory_order_release);
-    cv_.notify_all();
-    to_join = std::move(thread_);
-  }
-  to_join.join();
+  scanner_.Start(
+      std::chrono::duration<double, std::milli>(tick_ms <= 0 ? 50.0 : tick_ms),
+      [this] { ScanOnce(); });
 }
 
 uint64_t Watchdog::Arm(const char* name, double deadline_ms) {
@@ -84,7 +61,10 @@ size_t Watchdog::armed() const {
   return armed_.size();
 }
 
-void Watchdog::ScanLocked(std::chrono::steady_clock::time_point now) {
+void Watchdog::ScanOnce() {
+  const auto now = std::chrono::steady_clock::now();
+  // cs:lock(obs.watchdog)
+  std::unique_lock<lockdep::Mutex> lock(mu_);
   for (auto& [token, op] : armed_) {
     if (op.fired || now < op.deadline) continue;
     op.fired = true;
@@ -99,26 +79,6 @@ void Watchdog::ScanLocked(std::chrono::steady_clock::time_point now) {
     CS_LOG(Warning) << "watchdog: operation "
                     << FlightRecorder::Global().NameOf(op.name_id)
                     << " exceeded its deadline by " << overrun_us << " us";
-  }
-}
-
-void Watchdog::ScanOnce() {
-  // cs:lock(obs.watchdog)
-  std::unique_lock<lockdep::Mutex> lock(mu_);
-  ScanLocked(std::chrono::steady_clock::now());
-}
-
-void Watchdog::Loop(double tick_ms, uint64_t my_gen) {
-  const auto tick =
-      std::chrono::microseconds(static_cast<int64_t>(tick_ms * 1000.0));
-  // lock-order: obs.watchdog is a leaf lock — the scan body only
-  // touches the flight recorder (lock-free) and metrics counters.
-  // cs:lock(obs.watchdog)
-  std::unique_lock<lockdep::Mutex> lock(mu_);
-  while (run_gen_ == my_gen) {
-    cv_.wait_for(lock, tick);
-    if (run_gen_ != my_gen) break;
-    ScanLocked(std::chrono::steady_clock::now());
   }
 }
 

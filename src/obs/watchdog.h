@@ -14,12 +14,11 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <thread>
 #include <unordered_map>
 
 #include "util/lockdep.h"
+#include "util/periodic_thread.h"
 
 namespace crowdselect::obs {
 
@@ -30,18 +29,17 @@ class Watchdog {
   Watchdog() = default;
   Watchdog(const Watchdog&) = delete;
   Watchdog& operator=(const Watchdog&) = delete;
-  ~Watchdog() { Stop(); }
 
   /// Spawns the scanner thread (idempotent while running). `tick_ms`
   /// bounds detection latency: a stall is reported at most one tick
-  /// after its deadline passes.
+  /// after its deadline passes; `tick_ms <= 0` selects 50 ms.
   void Start(double tick_ms = 50.0);
 
   /// Joins the scanner thread. Idempotent; armed operations stay
   /// registered and are scanned again after a restart.
-  void Stop();
+  void Stop() { scanner_.Stop(); }
 
-  bool running() const { return running_.load(std::memory_order_acquire); }
+  bool running() const { return scanner_.running(); }
 
   /// Registers an operation that should complete within `deadline_ms`.
   /// Returns a token for Disarm(), or 0 when the watchdog is stopped
@@ -56,8 +54,8 @@ class Watchdog {
   /// Operations currently armed (tests).
   size_t armed() const;
 
-  /// Runs one scan pass on the caller's thread — deterministic testing
-  /// without the background thread.
+  /// One scan pass on the caller's thread: what every scanner tick
+  /// runs, and how tests drive detection deterministically.
   void ScanOnce();
 
  private:
@@ -67,24 +65,15 @@ class Watchdog {
     bool fired = false;
   };
 
-  void Loop(double tick_ms, uint64_t my_gen);
-  void ScanLocked(std::chrono::steady_clock::time_point now);
-
-  std::atomic<bool> running_{false};
   std::atomic<uint64_t> stalls_{0};
   std::atomic<uint64_t> next_token_{1};
 
-  // Guards armed_ and the thread lifecycle; leaf lock (nothing else is
-  // acquired while held). Lock order: obs.watchdog after any caller
-  // locks, never before them.
+  // Guards armed_; leaf lock (nothing else is acquired while held).
+  // Lock order: obs.watchdog after any caller locks, never before them.
   mutable lockdep::Mutex mu_{"obs.watchdog"};
-  std::condition_variable_any cv_;
-  // Run generation, guarded by mu_. Each loop thread captures the
-  // value current when it was spawned and exits once Stop() bumps it;
-  // a Start() racing with a Stop()'s join cannot revive the old loop.
-  uint64_t run_gen_ = 0;
   std::unordered_map<uint64_t, Armed> armed_;
-  std::thread thread_;
+  // Declared last so it is joined before the table its scans read dies.
+  PeriodicThread scanner_;
 };
 
 /// RAII deadline: arms on construction, disarms on destruction. A

@@ -151,52 +151,10 @@ void SloTracker::RotateAll() {
 }
 
 void SloTracker::StartBackgroundRotation(double interval_seconds) {
-  // cs:lock(obs.slo.rotation)
-  std::unique_lock<lockdep::Mutex> lock(rotation_mu_);
-  if (rotation_thread_.joinable()) return;
-  rotation_stopping_ = false;
-  rotation_thread_ = std::thread(&SloTracker::RotationLoop, this,
-                                 interval_seconds > 0 ? interval_seconds
-                                                      : 1.0);
-}
-
-void SloTracker::StopBackgroundRotation() {
-  std::thread to_join;
-  {
-    // cs:lock(obs.slo.rotation)
-    std::unique_lock<lockdep::Mutex> lock(rotation_mu_);
-    if (!rotation_thread_.joinable()) return;
-    rotation_stopping_ = true;
-    rotation_cv_.notify_all();
-    to_join = std::move(rotation_thread_);
-  }
-  to_join.join();
-}
-
-bool SloTracker::background_rotation_running() const {
-  // cs:lock(obs.slo.rotation)
-  std::unique_lock<lockdep::Mutex> lock(rotation_mu_);
-  return rotation_thread_.joinable();
-}
-
-void SloTracker::RotationLoop(double interval_seconds) {
-  const auto interval = std::chrono::microseconds(
-      static_cast<int64_t>(interval_seconds * 1e6));
-  for (;;) {
-    {
-      // lock-order: obs.slo.rotation is released before RotateAll()
-      // touches the tracker map or any window mutex (leaf lock).
-      // cs:lock(obs.slo.rotation)
-      std::unique_lock<lockdep::Mutex> lock(rotation_mu_);
-      // The predicate sees a Stop that ran before this thread first
-      // waited, and keeps a spurious wakeup from rotating early.
-      if (rotation_cv_.wait_for(lock, interval,
-                                [this] { return rotation_stopping_; })) {
-        return;
-      }
-    }
-    RotateAll();
-  }
+  rotation_.Start(
+      std::chrono::duration<double>(interval_seconds > 0 ? interval_seconds
+                                                         : 1.0),
+      [this] { RotateAll(); });
 }
 
 void SloTracker::set_default_num_windows(size_t n) {

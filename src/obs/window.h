@@ -17,7 +17,6 @@
 #ifndef CROWDSELECT_OBS_WINDOW_H_
 #define CROWDSELECT_OBS_WINDOW_H_
 
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -25,11 +24,10 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "obs/metrics.h"
-#include "util/lockdep.h"
+#include "util/periodic_thread.h"
 
 namespace crowdselect::obs {
 
@@ -109,7 +107,6 @@ class SloTracker {
   SloTracker() = default;
   SloTracker(const SloTracker&) = delete;
   SloTracker& operator=(const SloTracker&) = delete;
-  ~SloTracker() { StopBackgroundRotation(); }
 
   /// Records a latency (microseconds) for `endpoint`, creating its window
   /// on first use.
@@ -124,14 +121,13 @@ class SloTracker {
   /// Spawns a thread that calls RotateAll() every `interval_seconds`,
   /// so quantile gauges age out even when the serve path goes idle and
   /// nothing drives rotation. Idempotent while running; intervals <= 0
-  /// are clamped to 1s. Pairs with StopBackgroundRotation() (also run
-  /// by the destructor) for a clean joinable shutdown.
+  /// are clamped to 1s. The destructor joins the thread.
   void StartBackgroundRotation(double interval_seconds);
 
   /// Joins the rotation thread. Idempotent; safe when never started.
-  void StopBackgroundRotation();
+  void StopBackgroundRotation() { rotation_.Stop(); }
 
-  bool background_rotation_running() const;
+  bool background_rotation_running() const { return rotation_.running(); }
 
   /// Window count applied to endpoints created after the call (existing
   /// windows keep their ring). Default 6.
@@ -142,21 +138,12 @@ class SloTracker {
   std::vector<std::string> Endpoints() const;
 
  private:
-  void RotationLoop(double interval_seconds);
-
   mutable std::mutex mu_;
   size_t default_num_windows_ = 6;
   std::map<std::string, std::unique_ptr<WindowedHistogram>, std::less<>>
       windows_;
-
-  // Background rotation state. Separate from mu_ so the loop never
-  // holds a lock across RotateAll() (which takes mu_ and the per-window
-  // mutexes). Lock order: obs.slo.rotation is a leaf — never held while
-  // acquiring mu_ or any window lock.
-  mutable lockdep::Mutex rotation_mu_{"obs.slo.rotation"};
-  std::condition_variable_any rotation_cv_;
-  bool rotation_stopping_ = false;
-  std::thread rotation_thread_;
+  // Declared last so it is joined before the windows it rotates die.
+  PeriodicThread rotation_;
 };
 
 }  // namespace crowdselect::obs

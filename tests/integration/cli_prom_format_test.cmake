@@ -2,7 +2,8 @@
 #   cmake -DCLI=<crowdselect_cli> -DWORK_DIR=<scratch dir> \
 #         -P cli_prom_format_test.cmake
 #
-# Runs a small simulate with every telemetry sink enabled, then walks
+# Runs a small simulate with every telemetry sink enabled and all three
+# periodic threads running (exporter, SLO rotation, watchdog), then walks
 # the emitted .prom file line by line and enforces what a scraper needs:
 #   * every sample is preceded by "# HELP" and "# TYPE" for its family,
 #     in that order, and samples never appear under a foreign family;
@@ -36,7 +37,8 @@ execute_process(
           --k 4 --iters 4 --tasks 40 --top 8 --quality-window 10
           --alert-rules "${WORK_DIR}/rules.txt"
           --quality-out "${WORK_DIR}/quality.jsonl"
-          --prom-out "${WORK_DIR}/metrics.prom"
+          --prom-out "${WORK_DIR}/metrics.prom" --prom-interval-ms 5
+          --slo-rotate-ms 5 --watchdog-ms 5
   RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "simulate failed (rc=${rc})")

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
@@ -271,12 +272,13 @@ TEST_F(StatsReporterTest, PeriodicExporterWritesAndStops) {
       (std::filesystem::temp_directory_path() / "cs_prom_periodic.prom")
           .string();
   {
-    PeriodicStatsExporter exporter(path, /*interval_seconds=*/0.01,
-                                   StatsReporter(&registry));
+    auto exporter = PeriodicStatsExporter::Create(
+        path, /*interval_seconds=*/0.01, StatsReporter(&registry));
+    ASSERT_TRUE(exporter.ok()) << exporter.status().ToString();
     // Stop() writes a final snapshot even if no interval elapsed.
-    ASSERT_TRUE(exporter.Stop().ok());
-    ASSERT_TRUE(exporter.Stop().ok()) << "Stop must be idempotent";
-    EXPECT_GE(exporter.writes(), 1u);
+    ASSERT_TRUE((*exporter)->Stop().ok());
+    ASSERT_TRUE((*exporter)->Stop().ok()) << "Stop must be idempotent";
+    EXPECT_GE((*exporter)->writes(), 1u);
   }
   EXPECT_NE(ReadFile(path).find("crowdselect_prom_periodic 1"),
             std::string::npos);
@@ -303,6 +305,24 @@ TEST_F(StatsReporterTest, PeriodicExporterCreateRejectsBadIntervals) {
   std::filesystem::remove(path);
 }
 
+// A Stop right after Create must not wait out the 30 s interval; it
+// makes exactly the one final write.
+TEST_F(StatsReporterTest, PeriodicExporterStopRightAfterStartReturnsPromptly) {
+  MetricsRegistry registry;
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "cs_prom_prompt.prom")
+          .string();
+  const auto start = std::chrono::steady_clock::now();
+  auto exporter = PeriodicStatsExporter::Create(
+      path, /*interval_seconds=*/30.0, StatsReporter(&registry));
+  ASSERT_TRUE(exporter.ok()) << exporter.status().ToString();
+  EXPECT_TRUE((*exporter)->Stop().ok());
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(100));
+  EXPECT_EQ((*exporter)->writes(), 1u);
+  std::filesystem::remove(path);
+}
+
 TEST_F(StatsReporterTest, PeriodicExporterDestroyedDuringFirstWrite) {
   // Races destruction against the very first background write: the
   // destructor must join the thread before members die (TSan enforces
@@ -313,9 +333,10 @@ TEST_F(StatsReporterTest, PeriodicExporterDestroyedDuringFirstWrite) {
       (std::filesystem::temp_directory_path() / "cs_prom_race.prom")
           .string();
   for (int i = 0; i < 50; ++i) {
-    PeriodicStatsExporter exporter(path, /*interval_seconds=*/1e-4,
-                                   StatsReporter(&registry));
-    // Destroyed immediately — often exactly while Loop() is mid-write.
+    auto exporter = PeriodicStatsExporter::Create(
+        path, /*interval_seconds=*/1e-4, StatsReporter(&registry));
+    ASSERT_TRUE(exporter.ok()) << exporter.status().ToString();
+    // Destroyed immediately — often exactly while a tick is mid-write.
   }
   std::filesystem::remove(path);
 }
@@ -331,8 +352,9 @@ TEST_F(StatsReporterTest, PeriodicExporterReadersNeverSeePartialFiles) {
           .string();
   std::filesystem::remove(path);
   {
-    PeriodicStatsExporter exporter(path, /*interval_seconds=*/1e-4,
-                                   StatsReporter(&registry));
+    auto exporter = PeriodicStatsExporter::Create(
+        path, /*interval_seconds=*/1e-4, StatsReporter(&registry));
+    ASSERT_TRUE(exporter.ok()) << exporter.status().ToString();
     size_t reads = 0;
     while (reads < 200) {
       const std::string content = ReadFile(path);

@@ -2,10 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "crowddb/jsonl.h"
@@ -139,42 +137,6 @@ TEST(TimeSeriesStoreTest, ClearDropsPointsButKeepsSettings) {
     store.Append("a", static_cast<double>(i), 0.0);
   }
   EXPECT_EQ(store.Points("a").size(), 4u);
-}
-
-TEST(TimeSeriesStoreTest, BackgroundSamplingStartsAndStopsCleanly) {
-  MetricsRegistry registry;
-  registry.GetGauge("g")->Set(1.0);
-  TimeSeriesStore store;
-  store.StartSampling(0.01, &registry);
-  EXPECT_TRUE(store.sampling_running());
-  // Idempotent while running.
-  store.StartSampling(0.01, &registry);
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (store.total_points() == 0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  store.StopSampling();
-  EXPECT_FALSE(store.sampling_running());
-  EXPECT_GT(store.total_points(), 0u);
-  store.StopSampling();  // Idempotent when already stopped.
-}
-
-// Regression: the sampler waited without a predicate, so a Stop that
-// ran before the thread's first wait was lost and Stop blocked for a
-// whole interval.
-TEST(TimeSeriesStoreTest, StopRightAfterStartReturnsPromptly) {
-  MetricsRegistry registry;
-  registry.GetGauge("g")->Set(1.0);
-  TimeSeriesStore store;
-  const auto start = std::chrono::steady_clock::now();
-  store.StartSampling(/*interval_seconds=*/30.0, &registry);
-  store.StopSampling();
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-  EXPECT_LT(elapsed, std::chrono::milliseconds(100));
-  EXPECT_FALSE(store.sampling_running());
-  EXPECT_EQ(store.total_points(), 0u) << "a stop must not sample";
 }
 
 TEST(TimeSeriesStoreTest, GlobalIsASingleton) {

@@ -147,6 +147,17 @@ TEST(WatchdogTest, ConcurrentStartStopLeavesConsistentState) {
   EXPECT_FALSE(dog.running());
 }
 
+// A Stop right after Start must not wait out the 30 s tick.
+TEST(WatchdogTest, StopRightAfterStartReturnsPromptly) {
+  Watchdog dog;
+  const auto start = std::chrono::steady_clock::now();
+  dog.Start(/*tick_ms=*/30000.0);
+  dog.Stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(100));
+  EXPECT_FALSE(dog.running());
+}
+
 TEST(WatchdogTest, GlobalIsASingleton) {
   EXPECT_EQ(&Watchdog::Global(), &Watchdog::Global());
 }

@@ -220,6 +220,28 @@ TEST(SloTrackerTest, StopRightAfterStartReturnsPromptly) {
       << "a stop must not rotate";
 }
 
+TEST(SloTrackerTest, ConcurrentStartStopLeavesConsistentState) {
+  SloTracker tracker;
+  tracker.Record("test.churn", 1.0);
+  // A Start racing a Stop's join must neither revive the loop being
+  // joined nor leave the tracker wedged.
+  auto churn = [&tracker] {
+    for (int i = 0; i < 50; ++i) {
+      tracker.StartBackgroundRotation(/*interval_seconds=*/0.001);
+      tracker.StopBackgroundRotation();
+    }
+  };
+  std::thread a(churn);
+  std::thread b(churn);
+  a.join();
+  b.join();
+  EXPECT_FALSE(tracker.background_rotation_running());
+  tracker.StartBackgroundRotation(/*interval_seconds=*/60.0);
+  EXPECT_TRUE(tracker.background_rotation_running());
+  tracker.StopBackgroundRotation();
+  EXPECT_FALSE(tracker.background_rotation_running());
+}
+
 TEST(SloTrackerTest, NonPositiveRotationIntervalIsClamped) {
   SloTracker tracker;
   tracker.StartBackgroundRotation(/*interval_seconds=*/-1.0);

@@ -301,7 +301,7 @@ void FinishDiagnostics(const Args& args) {
                    st.ToString().c_str());
     }
   }
-  if (obs::Watchdog::Global().running()) obs::Watchdog::Global().Stop();
+  obs::Watchdog::Global().Stop();
   obs::SloTracker::Global().StopBackgroundRotation();
 }
 
@@ -849,8 +849,8 @@ int CmdSimulate(const Args& args) {
     const long interval_ms = args.GetInt("prom-interval-ms", 0);
     if (interval_ms != 0) {
       // Create() rejects a non-positive interval with InvalidArgument
-      // instead of the constructor's silent clamp, so a typoed
-      // --prom-interval-ms fails the command up front.
+      // rather than clamping it, so a negative --prom-interval-ms fails
+      // the command up front.
       auto exporter_or = obs::PeriodicStatsExporter::Create(
           prom, static_cast<double>(interval_ms) / 1e3);
       if (!exporter_or.ok()) return Fail(exporter_or.status());
