@@ -4,28 +4,91 @@
 
 namespace crowdselect {
 
-Result<Cholesky> Cholesky::Factorize(const Matrix& a) {
+namespace {
+
+// The symmetry test: max |a_ij - a_ji| <= 1e-8 * (1 + max |a_ij|). The
+// right side is at least 1e-8, so an error at or below 1e-8 passes
+// whatever the largest entry is, and the scan of every entry runs only
+// for a larger error. `symmetry_error` is a.SymmetryError(); a diagonal
+// shift leaves it unchanged but can change MaxAbs.
+bool Symmetric(const Matrix& a, double symmetry_error) {
+  return symmetry_error <= 1e-8 ||
+         !(symmetry_error > 1e-8 * (1.0 + a.MaxAbs()));
+}
+
+// Checks that `a` is square and symmetric, and stores a.SymmetryError().
+Status CheckPrecondition(const Matrix& a, double* symmetry_error) {
   if (a.rows() != a.cols()) {
     return Status::InvalidArgument("Cholesky requires a square matrix");
   }
-  if (a.SymmetryError() > 1e-8 * (1.0 + a.MaxAbs())) {
+  *symmetry_error = a.SymmetryError();
+  if (!Symmetric(a, *symmetry_error)) {
     return Status::InvalidArgument("Cholesky requires a symmetric matrix");
   }
+  return Status::OK();
+}
+
+// Factors a = L L^T into *l (n x n with a zero upper triangle; a failed
+// earlier attempt may have left lower entries, which are overwritten
+// before they are read). Returns false at the first column whose pivot is
+// not positive and finite.
+//
+// Every element of L gets the same IEEE operations, in the same order, as
+// the textbook column loop
+//   l(i,j) = (a(i,j) - sum_{k<j} l(i,k) * l(j,k)) / l(j,j),
+//   l(j,j) = sqrt(a(j,j) - sum_{k<j} l(j,k)^2),
+// with each sum subtracted term by term in ascending k (see "Dense linear
+// algebra" in docs/kernels.md). Speed comes only from interleaving
+// independent elements: column j is computed four rows at a time, its
+// diagonal included, as four independent chains over k, and divided by
+// l(j,j) once the diagonal is known.
+bool FactorLower(const Matrix& a, Matrix* l) {
   const size_t n = a.rows();
-  Matrix l(n, n);
   for (size_t j = 0; j < n; ++j) {
-    double diag = a(j, j);
-    for (size_t k = 0; k < j; ++k) diag -= l(j, k) * l(j, k);
-    if (diag <= 0.0 || !std::isfinite(diag)) {
-      return Status::InvalidArgument("matrix is not positive definite");
+    const double* lj = l->RowPtr(j);
+    size_t i = j;
+    for (; i + 4 <= n; i += 4) {
+      const double* l0 = l->RowPtr(i);
+      const double* l1 = l0 + n;
+      const double* l2 = l1 + n;
+      const double* l3 = l2 + n;
+      double acc0 = a(i, j), acc1 = a(i + 1, j);
+      double acc2 = a(i + 2, j), acc3 = a(i + 3, j);
+      for (size_t k = 0; k < j; ++k) {
+        const double ljk = lj[k];
+        acc0 -= l0[k] * ljk;
+        acc1 -= l1[k] * ljk;
+        acc2 -= l2[k] * ljk;
+        acc3 -= l3[k] * ljk;
+      }
+      (*l)(i, j) = acc0;
+      (*l)(i + 1, j) = acc1;
+      (*l)(i + 2, j) = acc2;
+      (*l)(i + 3, j) = acc3;
     }
-    const double ljj = std::sqrt(diag);
-    l(j, j) = ljj;
-    for (size_t i = j + 1; i < n; ++i) {
+    for (; i < n; ++i) {
+      const double* li = l->RowPtr(i);
       double acc = a(i, j);
-      for (size_t k = 0; k < j; ++k) acc -= l(i, k) * l(j, k);
-      l(i, j) = acc / ljj;
+      for (size_t k = 0; k < j; ++k) acc -= li[k] * lj[k];
+      (*l)(i, j) = acc;
     }
+    const double diag = (*l)(j, j);
+    if (diag <= 0.0 || !std::isfinite(diag)) return false;
+    const double ljj = std::sqrt(diag);
+    (*l)(j, j) = ljj;
+    for (i = j + 1; i < n; ++i) (*l)(i, j) /= ljj;
+  }
+  return true;
+}
+
+}  // namespace
+
+Result<Cholesky> Cholesky::Factorize(const Matrix& a) {
+  double symmetry_error = 0.0;
+  CS_RETURN_NOT_OK(CheckPrecondition(a, &symmetry_error));
+  Matrix l(a.rows(), a.rows());
+  if (!FactorLower(a, &l)) {
+    return Status::InvalidArgument("matrix is not positive definite");
   }
   return Cholesky(std::move(l), /*jitter=*/0.0);
 }
@@ -33,21 +96,21 @@ Result<Cholesky> Cholesky::Factorize(const Matrix& a) {
 Result<Cholesky> Cholesky::FactorizeWithJitter(const Matrix& a,
                                                double initial_jitter,
                                                int max_tries) {
-  auto direct = Factorize(a);
-  if (direct.ok()) return direct;
-  if (direct.status().message() == "Cholesky requires a square matrix" ||
-      direct.status().message() == "Cholesky requires a symmetric matrix") {
-    return direct.status();
-  }
+  // Shape and symmetry are checked once; a failed factorization retries
+  // only the factor loop.
+  double symmetry_error = 0.0;
+  CS_RETURN_NOT_OK(CheckPrecondition(a, &symmetry_error));
+  const size_t n = a.rows();
+  Matrix l(n, n);
+  if (FactorLower(a, &l)) return Cholesky(std::move(l), /*jitter=*/0.0);
   double jitter = initial_jitter * (1.0 + a.MaxAbs());
+  Matrix repaired = a;
   for (int t = 0; t < max_tries; ++t, jitter *= 10.0) {
-    Matrix repaired = a;
-    repaired.AddDiagonal(jitter);
-    auto attempt = Factorize(repaired);
-    if (attempt.ok()) {
-      Cholesky chol = std::move(attempt).value();
-      chol.jitter_ = jitter;
-      return chol;
+    for (size_t i = 0; i < n; ++i) repaired(i, i) = a(i, i) + jitter;
+    // A shifted diagonal can lower the largest entry, and with it the
+    // symmetry tolerance; such a try fails, as Factorize(repaired) would.
+    if (Symmetric(repaired, symmetry_error) && FactorLower(repaired, &l)) {
+      return Cholesky(std::move(l), jitter);
     }
   }
   return Status::InvalidArgument(
@@ -57,19 +120,23 @@ Result<Cholesky> Cholesky::FactorizeWithJitter(const Matrix& a,
 Vector Cholesky::Solve(const Vector& b) const {
   CS_DCHECK(b.size() == size());
   const size_t n = size();
-  // Forward substitution: L y = b.
-  Vector y(n);
-  for (size_t i = 0; i < n; ++i) {
-    double acc = b[i];
-    for (size_t k = 0; k < i; ++k) acc -= l_(i, k) * y[k];
-    y[i] = acc / l_(i, i);
+  Vector x = b;
+  double* v = x.raw();
+  // Forward substitution L y = b, in place and column by column: once
+  // y[k] is known, every later row subtracts its term. Each row still
+  // subtracts l(i,k) * y[k] in ascending k, as the row-by-row dot product
+  // does, but the rows' chains overlap.
+  for (size_t k = 0; k < n; ++k) {
+    const double yk = v[k] / l_(k, k);
+    v[k] = yk;
+    for (size_t i = k + 1; i < n; ++i) v[i] -= l_(i, k) * yk;
   }
-  // Back substitution: L^T x = y.
-  Vector x(n);
+  // Back substitution L^T x = y, in place. Row ii's first term needs
+  // x[ii+1], so these dot products are inherently one chain.
   for (size_t ii = n; ii-- > 0;) {
-    double acc = y[ii];
-    for (size_t k = ii + 1; k < n; ++k) acc -= l_(k, ii) * x[k];
-    x[ii] = acc / l_(ii, ii);
+    double acc = v[ii];
+    for (size_t k = ii + 1; k < n; ++k) acc -= l_(k, ii) * v[k];
+    v[ii] = acc / l_(ii, ii);
   }
   return x;
 }

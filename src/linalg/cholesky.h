@@ -20,7 +20,8 @@ class Cholesky {
 
   /// Factors A + jitter*I, escalating jitter by 10x up to max_tries times
   /// until the factorization succeeds. Used on empirical covariances that
-  /// are only positive semi-definite.
+  /// are only positive semi-definite. A non-square or asymmetric A fails
+  /// at once, without a retry.
   static Result<Cholesky> FactorizeWithJitter(const Matrix& a,
                                               double initial_jitter = 1e-9,
                                               int max_tries = 12);

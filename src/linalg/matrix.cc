@@ -81,10 +81,33 @@ void Matrix::AddOuter(const Vector& a, double s) {
 Vector Matrix::Multiply(const Vector& v) const {
   CS_DCHECK(cols_ == v.size());
   Vector out(rows_);
-  for (size_t i = 0; i < rows_; ++i) {
+  const double* x = v.raw();
+  // Four rows at a time: four independent sums, each adding its row's
+  // products in column order, so every entry is the one-row loop's sum
+  // bit for bit while the four add chains overlap.
+  size_t i = 0;
+  for (; i + 4 <= rows_; i += 4) {
+    const double* r0 = RowPtr(i);
+    const double* r1 = r0 + cols_;
+    const double* r2 = r1 + cols_;
+    const double* r3 = r2 + cols_;
+    double acc0 = 0.0, acc1 = 0.0, acc2 = 0.0, acc3 = 0.0;
+    for (size_t j = 0; j < cols_; ++j) {
+      const double xj = x[j];
+      acc0 += r0[j] * xj;
+      acc1 += r1[j] * xj;
+      acc2 += r2[j] * xj;
+      acc3 += r3[j] * xj;
+    }
+    out[i] = acc0;
+    out[i + 1] = acc1;
+    out[i + 2] = acc2;
+    out[i + 3] = acc3;
+  }
+  for (; i < rows_; ++i) {
+    const double* row = RowPtr(i);
     double acc = 0.0;
-    const double* row = &data_[i * cols_];
-    for (size_t j = 0; j < cols_; ++j) acc += row[j] * v[j];
+    for (size_t j = 0; j < cols_; ++j) acc += row[j] * x[j];
     out[i] = acc;
   }
   return out;
@@ -150,13 +173,25 @@ double Matrix::Trace() const {
 
 double Matrix::SymmetryError() const {
   CS_DCHECK(rows_ == cols_);
-  double acc = 0.0;
-  for (size_t i = 0; i < rows_; ++i) {
-    for (size_t j = i + 1; j < cols_; ++j) {
-      acc = std::max(acc, std::fabs((*this)(i, j) - (*this)(j, i)));
+  // Four running maxima, so the scan is not one chain of dependent max
+  // operations. The max of a set does not depend on the order it is taken
+  // in, and std::max(acc, NaN) keeps acc, so a NaN (from Inf - Inf) is
+  // skipped either way: the result is the one-chain scan's bit for bit.
+  const size_t n = rows_;
+  double m0 = 0.0, m1 = 0.0, m2 = 0.0, m3 = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    const double* row = RowPtr(i);
+    const double* col = data_.data() + i;  // col[j * n] == (*this)(j, i)
+    size_t j = i + 1;
+    for (; j + 4 <= n; j += 4) {
+      m0 = std::max(m0, std::fabs(row[j] - col[j * n]));
+      m1 = std::max(m1, std::fabs(row[j + 1] - col[(j + 1) * n]));
+      m2 = std::max(m2, std::fabs(row[j + 2] - col[(j + 2) * n]));
+      m3 = std::max(m3, std::fabs(row[j + 3] - col[(j + 3) * n]));
     }
+    for (; j < n; ++j) m0 = std::max(m0, std::fabs(row[j] - col[j * n]));
   }
-  return acc;
+  return std::max(std::max(m0, m1), std::max(m2, m3));
 }
 
 void Matrix::Symmetrize() {

@@ -52,9 +52,12 @@ void IncrementalSkillUpdater::Observe(const SkillObservation& obs,
 
 Result<WorkerPosterior> IncrementalSkillUpdater::Posterior(
     const WorkerState& state) const {
-  // Deliberately not span-instrumented: this is the O(K^2)-per-observation
-  // fast path (§4.2 req. (2)), microseconds per call — a span would tax it
-  // double digits percent. The observation counter above suffices.
+  // One K x K Cholesky factor-and-solve: O(K^3), independent of history
+  // length (§4.2 req. (2)). An observe-and-refresh takes 2.4 µs at K=30
+  // (bench/micro_components, 4-vCPU x86-64), and a resolve runs one per
+  // feedback. Deliberately not span-instrumented: a metered span costs
+  // 0.17 µs (BM_ScopedSpanOverhead), 7% of the call; the observation
+  // counter above suffices.
   CS_ASSIGN_OR_RETURN(Cholesky chol,
                       Cholesky::FactorizeWithJitter(state.precision));
   WorkerPosterior posterior;

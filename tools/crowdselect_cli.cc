@@ -52,6 +52,7 @@
 // flight-recorder dump on demand — the same JSONL format a crash dump
 // uses.
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -62,6 +63,8 @@
 #include <unordered_map>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "crowdselect/crowdselect.h"
@@ -80,6 +83,22 @@ using namespace crowdselect;
 
 namespace {
 
+// Names the flag and exits 2, as a usage error does: a malformed or
+// missing value must never run the command on a default.
+[[noreturn]] void BadFlag(const std::string& key, const std::string& problem) {
+  std::fprintf(stderr, "error: --%s %s\n", key.c_str(), problem.c_str());
+  std::exit(2);
+}
+
+// Parses all of `text` as one number. std::from_chars takes no leading
+// space or '+', so "abc", "", " 5" and "5x" all fail.
+template <typename T>
+bool ParseWhole(std::string_view text, T* out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return ec == std::errc() && ptr == end;
+}
+
 struct Args {
   std::string command;
   std::map<std::string, std::string> flags;
@@ -91,16 +110,29 @@ struct Args {
   }
   long GetInt(const std::string& key, long fallback) const {
     const char* v = Get(key);
-    return v == nullptr ? fallback : std::atol(v);
+    long out = fallback;
+    if (v != nullptr && !ParseWhole(v, &out)) {
+      BadFlag(key, "expects an integer, got '" + std::string(v) + "'");
+    }
+    return out;
+  }
+  double GetDouble(const std::string& key, double fallback) const {
+    const char* v = Get(key);
+    double out = fallback;
+    if (v != nullptr && !ParseWhole(v, &out)) {
+      BadFlag(key, "expects a number, got '" + std::string(v) + "'");
+    }
+    return out;
   }
 };
 
 Args Parse(int argc, char** argv) {
   Args args;
   if (argc >= 2) args.command = argv[1];
-  for (int i = 2; i + 1 < argc; i += 2) {
+  for (int i = 2; i < argc; i += 2) {
     std::string key = argv[i];
     if (key.rfind("--", 0) == 0) key = key.substr(2);
+    if (i + 1 == argc) BadFlag(key, "has no value");
     args.flags[key] = argv[i + 1];
   }
   return args;
@@ -334,18 +366,14 @@ int CmdGenerate(const Args& args) {
         args.GetInt("tasks", static_cast<long>(config.num_tasks)));
     config.answers_per_task = static_cast<size_t>(
         args.GetInt("answers", static_cast<long>(config.answers_per_task)));
-    if (const char* f = args.Get("specialists")) {
-      config.specialist_fraction = std::atof(f);
-    }
-    if (const char* f = args.Get("spammers")) {
-      config.spammer_fraction = std::atof(f);
-    }
-    if (const char* f = args.Get("adversarial")) {
-      config.adversarial_fraction = std::atof(f);
-    }
-    if (const char* f = args.Get("type-zipf")) {
-      config.type_zipf_exponent = std::atof(f);
-    }
+    config.specialist_fraction =
+        args.GetDouble("specialists", config.specialist_fraction);
+    config.spammer_fraction =
+        args.GetDouble("spammers", config.spammer_fraction);
+    config.adversarial_fraction =
+        args.GetDouble("adversarial", config.adversarial_fraction);
+    config.type_zipf_exponent =
+        args.GetDouble("type-zipf", config.type_zipf_exponent);
     auto data = GenerateHeterogeneousDataset(config);
     if (!data.ok()) return Fail(data.status());
     Status st = ExportDatabaseCsvFiles(data->dataset.db, out);
@@ -379,15 +407,20 @@ int CmdGenerate(const Args& args) {
 int CmdStats(const Args& args) {
   const char* data = args.Get("data");
   if (!data) return Usage();
-  auto db = ImportDatabaseCsvFiles(data);
-  if (!db.ok()) return Fail(db.status());
   std::vector<size_t> thresholds = {1, 2, 3, 5, 8, 12};
   if (const char* t = args.Get("thresholds")) {
     thresholds.clear();
     for (const auto& piece : SplitAny(t, ",")) {
-      thresholds.push_back(static_cast<size_t>(std::atol(piece.c_str())));
+      size_t threshold = 0;
+      if (!ParseWhole(piece, &threshold)) {
+        BadFlag("thresholds", "expects comma-separated counts, got '" +
+                                  std::string(t) + "'");
+      }
+      thresholds.push_back(threshold);
     }
   }
+  auto db = ImportDatabaseCsvFiles(data);
+  if (!db.ok()) return Fail(db.status());
   TableReporter table("Crowd statistics");
   table.SetHeader({"Threshold", "GroupSize", "TaskCoverage"});
   for (const GroupStats& s : GroupSweep(*db, thresholds)) {
@@ -767,10 +800,8 @@ int CmdSimulate(const Args& args) {
     qconfig.window_size =
         static_cast<size_t>(args.GetInt("quality-window", 50));
     if (qconfig.window_size == 0) qconfig.window_size = 50;
-    if (const char* z = args.Get("drift-z")) {
-      const double threshold = std::atof(z);
-      if (threshold > 0.0) qconfig.drift_z_threshold = threshold;
-    }
+    const double threshold = args.GetDouble("drift-z", 0.0);
+    if (threshold > 0.0) qconfig.drift_z_threshold = threshold;
     quality = std::make_unique<serve::QualityMonitor>(qconfig);
     manager->set_resolved_observer(quality.get());
   }
@@ -813,7 +844,7 @@ int CmdSimulate(const Args& args) {
   const size_t drift_after =
       static_cast<size_t>(args.GetInt("drift-after", 0));
   const int drift_pct = static_cast<int>(
-      100.0 * std::atof(args.Get("drift-workers", "0.3")));
+      100.0 * args.GetDouble("drift-workers", 0.3));
   size_t processed = 0;
   auto answer_fn = [](WorkerId, const TaskRecord& task) {
     return "re: " + task.text;
