@@ -28,6 +28,7 @@
 
 #include "crowdselect/crowdselect.h"
 #include "obs/flight_recorder.h"
+#include "util/string_util.h"
 
 using namespace crowdselect;
 
@@ -546,25 +547,30 @@ int main(int argc, char** argv) {
     if (i + 1 >= argc) return Usage();
     const std::string key = argv[i];
     const char* value = argv[i + 1];
+    // Numbers parse whole: "abc" or "3x" is a usage error, never 0 or 3.
+    int quick = 0;
+    bool parsed = true;
     if (key == "--out") {
       flags.out = value;
     } else if (key == "--baseline") {
       flags.baseline = value;
     } else if (key == "--tolerance") {
-      flags.tolerance = std::atof(value);
+      parsed = ParseWhole(value, &flags.tolerance);
     } else if (key == "--quick") {
-      flags.quick = std::atol(value) != 0;
+      parsed = ParseWhole(value, &quick);
+      flags.quick = quick != 0;
     } else if (key == "--seed") {
-      flags.seed = static_cast<uint64_t>(std::atoll(value));
+      parsed = ParseWhole(value, &flags.seed);
     } else if (key == "--reps") {
-      flags.reps = static_cast<int>(std::atol(value));
+      parsed = ParseWhole(value, &flags.reps);
     } else if (key == "--flightrec-limit-pct") {
-      flags.flightrec_limit_pct = std::atof(value);
+      parsed = ParseWhole(value, &flags.flightrec_limit_pct);
     } else if (key == "--quality-limit-pct") {
-      flags.quality_limit_pct = std::atof(value);
+      parsed = ParseWhole(value, &flags.quality_limit_pct);
     } else {
       return Usage();
     }
+    if (!parsed) return Usage();
   }
   if (flags.reps < 1 || flags.tolerance < 0.0) return Usage();
 

@@ -1,15 +1,17 @@
 # Flag-parsing check for the perf-regression harness, run as a ctest:
 #   cmake -DREGRESSION=<regression binary> -P regression_usage_test.cmake
 #
-# Every harness flag takes a value. A lone flag (`--help`) or a trailing
-# flag with no value (`--quick`) must print the usage line and exit
+# Every harness flag takes a value. A lone flag (`--help`), a trailing
+# flag with no value (`--quick`) or a number that does not parse whole
+# (`--tolerance abc`, `--reps 3x`) must print the usage line and exit
 # nonzero before any stage runs — never fall through to the full bench.
 
 if(NOT DEFINED REGRESSION)
   message(FATAL_ERROR "pass -DREGRESSION=... to regression_usage_test.cmake")
 endif()
 
-foreach(argv "--help" "--quick" "--reps;3;--seed")
+foreach(argv "--help" "--quick" "--reps;3;--seed" "--tolerance;abc"
+               "--reps;3x")
   execute_process(
     COMMAND "${REGRESSION}" ${argv}
     RESULT_VARIABLE rc

@@ -41,7 +41,11 @@ Result<std::vector<RankedWorker>> CrowdManager::SelectCrowd(
     return Status::FailedPrecondition(
         "crowd model not inferred yet; call InferCrowdModel()");
   }
-  return selector_->SelectTopK(task, k, pool_.Snapshot());
+  // The published ids never change, so the query holds them and ranks
+  // the list in place: a route copies and sorts no id.
+  const std::shared_ptr<const std::vector<WorkerId>> online =
+      pool_.Published();
+  return selector_->SelectTopK(task, k, *online);
 }
 
 Result<std::vector<Answer>> CrowdManager::ProcessTask(

@@ -1,5 +1,7 @@
 #include "model/selection.h"
 
+#include <optional>
+
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/logging.h"
@@ -51,15 +53,16 @@ Result<std::vector<RankedWorker>> TdpmSelector::SelectTopKExplained(
   static obs::Counter* queries =
       obs::MetricsRegistry::Global().GetCounter("select.queries");
   if (!trained_) return Status::FailedPrecondition("selector not trained");
-  // Validation precedes the query meter and all fold-in work, so a
-  // malformed query is rejected cheaply and never counted as served.
-  CS_RETURN_NOT_OK(
-      serve::ValidateCandidates(candidates, fit_.state.workers.size()));
-  obs::ScopedSpan span(meter);
-  queries->Increment();
   // Eq. 1: R = argmax_{|R|=k} sum_{i in R} w_i (c_j)^T, evaluated by the
-  // engine's blocked scan over the published snapshot.
-  return engine_->SelectTopK(task, k, candidates, &rng_, stats);
+  // engine's blocked scan over the published snapshot. The engine
+  // validates the candidates before any fold-in work, and the span and
+  // the count start only once it admits them, so a malformed query is
+  // rejected cheaply and never counted as served.
+  std::optional<obs::ScopedSpan> span;
+  return engine_->SelectTopK(task, k, candidates, &rng_, stats, [&span] {
+    span.emplace(meter);
+    queries->Increment();
+  });
 }
 
 Status TdpmSelector::EnsureUpdater() {

@@ -70,6 +70,34 @@ Status ValidateCandidates(const std::vector<WorkerId>& candidates,
   return Status::OK();
 }
 
+namespace {
+
+// The one pass a query makes over its candidates before the scan: fails
+// as ValidateCandidates does on an id the snapshot does not know, and
+// otherwise returns whether the list is the ascending id range
+// [front, front + size) — the full-pool (or shard) shape the blocked
+// panel scan serves.
+Result<bool> AdmitCandidates(const std::vector<WorkerId>& candidates,
+                             size_t num_workers) {
+  const WorkerId* ids = candidates.data();
+  const size_t n = candidates.size();
+  const WorkerId first = n > 0 ? ids[0] : 0;
+  // A branch-free body over 32-bit lanes, written so the compiler
+  // vectorizes it. `first + i` may wrap; the last-id test below
+  // rejects a list that wrapped.
+  WorkerId max_id = 0;
+  WorkerId gaps = 0;  // nonzero once some id is not first + its index
+  for (size_t i = 0; i < n; ++i) {
+    max_id = ids[i] > max_id ? ids[i] : max_id;
+    gaps |= ids[i] ^ (first + static_cast<WorkerId>(i));
+  }
+  if (n == 0) return false;
+  if (max_id >= num_workers) return ValidateCandidates(candidates, num_workers);
+  return gaps == 0 && uint64_t{ids[n - 1]} == uint64_t{first} + (n - 1);
+}
+
+}  // namespace
+
 Result<FoldInResult> SelectionEngine::Project(const BagOfWords& task,
                                               Rng* rng,
                                               QueryStats* stats) const {
@@ -126,7 +154,8 @@ void FillBreakdown(const SkillMatrixSnapshot& snap, const Vector& category,
 
 Result<std::vector<RankedWorker>> SelectionEngine::SelectTopK(
     const BagOfWords& task, size_t k, const std::vector<WorkerId>& candidates,
-    Rng* rng, QueryStats* stats) const {
+    Rng* rng, QueryStats* stats,
+    const std::function<void()>& on_admit) const {
   static obs::SpanMeter meter("serve.select",
                               obs::ServeLatencyBucketBounds());
   static obs::Counter* queries =
@@ -141,7 +170,9 @@ Result<std::vector<RankedWorker>> SelectionEngine::SelectTopK(
   }
   // Validation precedes the fold-in and the query meter, so malformed
   // queries are rejected cheaply and never show up as half-served.
-  CS_RETURN_NOT_OK(ValidateCandidates(candidates, snap->num_workers()));
+  CS_ASSIGN_OR_RETURN(const bool dense,
+                      AdmitCandidates(candidates, snap->num_workers()));
+  if (on_admit) on_admit();
 
   obs::ScopedSpan span(meter);
   obs::ScopedDeadline deadline("serve.select", options_.select_deadline_ms);
@@ -166,7 +197,7 @@ Result<std::vector<RankedWorker>> SelectionEngine::SelectTopK(
   if (stats != nullptr) stats->foldin_us = stage_timer.ElapsedMicros();
   stage_timer.Reset();
   std::vector<RankedWorker> ranked =
-      ScanSnapshot(*snap, projected.category, k, candidates, stats);
+      ScanSnapshot(*snap, projected.category, k, candidates, dense, stats);
   const double scan_us = stage_timer.ElapsedMicros();
   const double total_us = total_timer.ElapsedMicros();
   obs::SloTracker::Global().Record("serve.select", total_us);
@@ -188,29 +219,15 @@ Result<std::vector<RankedWorker>> SelectionEngine::RankByCategory(
   if (category.size() != snap->num_categories()) {
     return Status::InvalidArgument("category dimension mismatch");
   }
-  CS_RETURN_NOT_OK(ValidateCandidates(candidates, snap->num_workers()));
-  return ScanSnapshot(*snap, category, k, candidates);
+  CS_ASSIGN_OR_RETURN(const bool dense,
+                      AdmitCandidates(candidates, snap->num_workers()));
+  return ScanSnapshot(*snap, category, k, candidates, dense);
 }
-
-namespace {
-
-// True when `candidates` is the contiguous ascending id range
-// [candidates.front(), candidates.front() + candidates.size()) — the
-// full-pool (or shard) shape the blocked panel scan serves.
-bool IsDenseRange(const std::vector<WorkerId>& candidates) {
-  if (candidates.empty()) return false;
-  const size_t first = candidates.front();
-  for (size_t i = 1; i < candidates.size(); ++i) {
-    if (candidates[i] != first + i) return false;
-  }
-  return true;
-}
-
-}  // namespace
 
 std::vector<RankedWorker> SelectionEngine::ScanSnapshot(
     const SkillMatrixSnapshot& snap, const Vector& category, size_t k,
-    const std::vector<WorkerId>& candidates, QueryStats* stats) const {
+    const std::vector<WorkerId>& candidates, bool dense,
+    QueryStats* stats) const {
   // Eq. 1 over the pool: the dominant serving cost at scale. Dense
   // candidate ranges stream the snapshot's column panels through the
   // dispatched ScoreKernel; sparse subsets gather per-candidate lanes
@@ -223,7 +240,7 @@ std::vector<RankedWorker> SelectionEngine::ScanSnapshot(
   const size_t scan_k =
       (stats != nullptr && k < candidates.size()) ? k + 1 : k;
   std::vector<RankedWorker> ranked;
-  if (IsDenseRange(candidates)) {
+  if (dense) {
     static obs::Counter* scans =
         obs::MetricsRegistry::Global().GetCounter("serve.kernel.scans");
     static const uint16_t kernel_flight_name =

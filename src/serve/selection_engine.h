@@ -89,7 +89,13 @@ class SelectionEngine {
   /// Full crowd-selection query: validates candidates against the
   /// snapshot up front (an unknown candidate fails before any fold-in
   /// work and before the query is metered), projects the task through
-  /// the fold-in cache, and ranks by w_i . c_j.
+  /// the fold-in cache, and ranks by w_i . c_j. The validation pass is
+  /// the only walk over the candidates before the scan; it also tells
+  /// a dense id range from a sparse subset.
+  ///
+  /// `on_admit`, when set, runs once the candidates have passed
+  /// validation and before any fold-in work, so a caller can meter only
+  /// the queries the engine serves.
   ///
   /// When `stats` is non-null the query additionally records its EXPLAIN
   /// payload (snapshot version, cache hit, solve cost, stage latencies,
@@ -98,7 +104,8 @@ class SelectionEngine {
   /// rank internally.
   Result<std::vector<RankedWorker>> SelectTopK(
       const BagOfWords& task, size_t k, const std::vector<WorkerId>& candidates,
-      Rng* rng = nullptr, QueryStats* stats = nullptr) const;
+      Rng* rng = nullptr, QueryStats* stats = nullptr,
+      const std::function<void()>& on_admit = nullptr) const;
 
   /// Ranks candidates against an explicit category vector (fold-in
   /// already done by the caller).
@@ -142,9 +149,11 @@ class SelectionEngine {
   std::vector<RankedWorker> ScanPanels(const SkillMatrixSnapshot& snap,
                                        const double* query, size_t k,
                                        WorkerId first, size_t count) const;
+  /// Eq. 1 over validated candidates; `dense` (from the validation
+  /// pass) says they are one ascending id range, scanned panel by panel.
   std::vector<RankedWorker> ScanSnapshot(
       const SkillMatrixSnapshot& snap, const Vector& category, size_t k,
-      const std::vector<WorkerId>& candidates,
+      const std::vector<WorkerId>& candidates, bool dense,
       QueryStats* stats = nullptr) const;
 
   ServeOptions options_;

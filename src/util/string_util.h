@@ -2,8 +2,10 @@
 #ifndef CROWDSELECT_UTIL_STRING_UTIL_H_
 #define CROWDSELECT_UTIL_STRING_UTIL_H_
 
+#include <charconv>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <vector>
 
 namespace crowdselect {
@@ -23,6 +25,15 @@ std::string StringPrintf(const char* fmt, ...)
 
 /// Joins pieces with a separator.
 std::string Join(const std::vector<std::string>& pieces, std::string_view sep);
+
+/// Parses all of `text` as one number. std::from_chars takes no leading
+/// space or '+', so "abc", "", " 5" and "5x" all fail.
+template <typename T>
+bool ParseWhole(std::string_view text, T* out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return ec == std::errc() && ptr == end;
+}
 
 }  // namespace crowdselect
 

@@ -2,10 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "model/selection.h"
+#include "text/tokenizer.h"
+#include "util/logging.h"
+#include "util/string_util.h"
 
 namespace crowdselect {
 namespace {
@@ -206,6 +213,60 @@ TEST(CrowdManagerTest, AutoRetrainAfterInterval) {
   ASSERT_TRUE(manager.ProcessTask("q two", 1, &dispatcher).ok());
   EXPECT_EQ(raw->train_calls(), 2);  // Interval reached.
   EXPECT_EQ(raw->trained_tasks(), 2u);
+}
+
+// Two topics; even workers ace the first, odd workers the second.
+CrowdDatabase TwoTopicDb() {
+  CrowdDatabase db;
+  for (int w = 0; w < 6; ++w) db.AddWorker(StringPrintf("w%d", w));
+  const std::vector<std::string> texts = {
+      "btree index page", "index scan buffer page",
+      "matrix gradient algebra", "integral calculus matrix"};
+  for (size_t i = 0; i < texts.size(); ++i) {
+    const TaskId t = db.AddTask(texts[i]);
+    const WorkerId experts = i < 2 ? 0 : 1;
+    for (WorkerId w = 0; w < 6; ++w) {
+      CS_CHECK_OK(db.Assign(w, t));
+      CS_CHECK_OK(db.RecordFeedback(w, t, w % 2 == experts ? 5.0 : 1.0));
+    }
+  }
+  return db;
+}
+
+// SelectCrowd ranks the pool's published ids in place; perfbench's traced
+// route replays it as Snapshot() followed by SelectTopK(). Both must give
+// the same bytes, before and after the pool changes.
+TEST(CrowdManagerTest, SelectCrowdMatchesTheSnapshotReplay) {
+  CrowdDatabase db = TwoTopicDb();
+  TdpmOptions options;
+  options.num_categories = 2;
+  options.max_em_iterations = 10;
+  options.seed = 5;
+  CrowdManager manager(&db, std::make_unique<TdpmSelector>(options));
+  ASSERT_TRUE(manager.InferCrowdModel().ok());
+  Tokenizer tokenizer{TokenizerOptions{.remove_stopwords = true}};
+  const BagOfWords bag = BagOfWords::FromTextFrozen(
+      "btree index matrix", tokenizer, db.vocabulary());
+  const auto expect_replay_matches = [&](size_t online) {
+    auto crowd = manager.SelectCrowd(bag, 4);
+    auto replay = manager.selector().SelectTopK(
+        bag, 4, manager.online_pool()->Snapshot());
+    ASSERT_TRUE(crowd.ok()) << crowd.status().ToString();
+    ASSERT_TRUE(replay.ok()) << replay.status().ToString();
+    ASSERT_EQ(crowd->size(), std::min<size_t>(4, online));
+    ASSERT_EQ(crowd->size(), replay->size());
+    for (size_t i = 0; i < crowd->size(); ++i) {
+      EXPECT_EQ((*crowd)[i].worker, (*replay)[i].worker);
+      EXPECT_EQ(std::memcmp(&(*crowd)[i].score, &(*replay)[i].score,
+                            sizeof(double)),
+                0)
+          << "rank " << i;
+    }
+  };
+  expect_replay_matches(6);
+  manager.online_pool()->CheckOut(0);
+  manager.online_pool()->CheckOut(3);
+  expect_replay_matches(4);
 }
 
 }  // namespace

@@ -2,9 +2,11 @@
 #   cmake -DCLI=<crowdselect_cli> -DWORK_DIR=<scratch dir> -P cli_flags_test.cmake
 #
 # A numeric flag whose value is not a whole number (`--seed abc`,
-# `--spammers 0.1x`, `--thresholds 1,x`) and a trailing flag with no value
-# must exit nonzero with an error naming the flag, before the command does
-# any work. Neither may fall back to a default.
+# `--spammers 0.1x`, `--thresholds 1,x`), a trailing flag with no value, a
+# flag the command does not read (`--qaunt`, a retired `--quant`,
+# `dbinfo --top`) and a token without `--` in flag position must exit
+# nonzero with an error naming the flag, before the command does any work.
+# None may fall back to a default.
 
 if(NOT DEFINED CLI OR NOT DEFINED WORK_DIR)
   message(FATAL_ERROR "pass -DCLI=... -DWORK_DIR=... to cli_flags_test.cmake")
@@ -45,6 +47,15 @@ expect_rejected(--spammers
 expect_rejected(--thresholds stats --data "${out}" --thresholds 1,x)
 # A trailing flag with no value.
 expect_rejected(--seed generate --platform stack --out "${out}" --seed)
+# Flags the command does not read: a typo, a retired flag, and a real flag
+# of another command.
+expect_rejected(--qaunt
+  select --data "${out}" --model tdpm --task "b tree" --qaunt 1)
+expect_rejected(--quant
+  select --data "${out}" --model router --quant int8 --labels 9)
+expect_rejected(--top dbinfo --db-dir "${WORK_DIR}/db" --top 3)
+# A bare token in flag position is not taken as a flag.
+expect_rejected(data stats data "${out}")
 
 # A well-formed value still runs.
 execute_process(

@@ -5,6 +5,7 @@
 // the specification; everything else must match it bitwise.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -112,6 +113,50 @@ TEST(KernelEquivalenceTest, SparseSubsetScoresMatchDenseBitwise) {
   for (const RankedWorker& rw : *ranked) {
     EXPECT_EQ(std::memcmp(&rw.score, &score_of[rw.worker], sizeof(double)), 0)
         << "worker " << rw.worker;
+  }
+}
+
+// The validation pass decides which lists take the panel path. A list
+// one step away from a dense range must rank exactly its own ids, with
+// the scores a full dense scan gives them; so must a dense range that
+// starts past worker 0.
+TEST(KernelEquivalenceTest, NearDenseListsRankExactlyTheirOwnIds) {
+  constexpr size_t kPool = 40;
+  constexpr size_t kDims = 5;
+  auto snapshot = RandomSnapshot(kPool, kDims, 11);
+  const Vector category = RandomCategory(kDims, 12);
+  SelectionEngine engine;
+  engine.PublishSnapshot(snapshot);
+  auto dense = engine.RankByCategory(category, kPool, DenseRange(kPool));
+  ASSERT_TRUE(dense.ok());
+  std::vector<double> score_of(kPool);
+  for (const RankedWorker& rw : *dense) score_of[rw.worker] = rw.score;
+
+  const std::vector<WorkerId> all = DenseRange(kPool);
+  std::vector<WorkerId> gap = all;  // 17 missing, so the list ends at 39
+  gap.erase(gap.begin() + 17);
+  std::vector<WorkerId> jump = DenseRange(kPool - 6);  // ..., 33, 39
+  jump.push_back(kPool - 1);
+  std::vector<WorkerId> swapped = all;
+  std::swap(swapped[3], swapped[4]);
+  std::vector<WorkerId> repeated = all;  // 16 twice, 17 missing
+  repeated[17] = 16;
+  const std::vector<WorkerId> offset(all.begin() + 7, all.end());
+  for (const std::vector<WorkerId>& shape :
+       {gap, jump, swapped, repeated, offset}) {
+    auto ranked = engine.RankByCategory(category, shape.size(), shape);
+    ASSERT_TRUE(ranked.ok());
+    std::vector<WorkerId> ids;
+    for (const RankedWorker& rw : *ranked) {
+      ids.push_back(rw.worker);
+      EXPECT_EQ(std::memcmp(&rw.score, &score_of[rw.worker], sizeof(double)),
+                0)
+          << "worker " << rw.worker;
+    }
+    std::vector<WorkerId> expected = shape;
+    std::sort(ids.begin(), ids.end());
+    std::sort(expected.begin(), expected.end());
+    EXPECT_EQ(ids, expected);
   }
 }
 

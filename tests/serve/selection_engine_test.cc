@@ -325,6 +325,38 @@ TEST(TdpmSelectorEngineTest, ObserveResolvedTaskValidatesWorkers) {
       untrained.ObserveResolvedTask(bag, {{0, 1.0}}).IsFailedPrecondition());
 }
 
+// The engine validates for the selector: a query naming an unknown
+// candidate is rejected before the selector's meter, the engine's meter
+// and the fold-in cache see it.
+TEST(TdpmSelectorEngineTest, UnknownCandidateIsNeitherMeteredNorFoldedIn) {
+  CrowdDatabase db = TwoTopicDb();
+  TdpmSelector selector(SmallOptions());
+  ASSERT_TRUE(selector.Train(db).ok());
+  obs::MetricsRegistry::Global().SetEnabled(true);
+  obs::MetricsRegistry::Global().ResetAll();
+  const FoldInCache& cache = *selector.engine()->cache();
+  const uint64_t lookups = cache.hits() + cache.misses();
+  BagOfWords bag;
+  bag.Add(0);
+  auto bad = selector.SelectTopK(bag, 1, {0, 1, 99});
+  EXPECT_TRUE(bad.status().IsInvalidArgument());
+  const auto snap = obs::MetricsRegistry::Global().Snapshot();
+  for (const char* name : {"select.queries", "serve.queries"}) {
+    if (const auto* queries = snap.FindCounter(name)) {
+      EXPECT_EQ(queries->value, 0u) << name << " counted a rejected query";
+    }
+  }
+  EXPECT_EQ(cache.hits() + cache.misses(), lookups);
+
+  ASSERT_TRUE(selector.SelectTopK(bag, 1, {0, 1, 2, 3}).ok());
+  const auto snap2 = obs::MetricsRegistry::Global().Snapshot();
+  for (const char* name : {"select.queries", "serve.queries"}) {
+    ASSERT_NE(snap2.FindCounter(name), nullptr) << name;
+    EXPECT_EQ(snap2.FindCounter(name)->value, 1u) << name;
+  }
+  EXPECT_EQ(cache.hits() + cache.misses(), lookups + 1);
+}
+
 TEST(TdpmSelectorEngineTest, PublishWorkerPosteriorsSwapsSkills) {
   CrowdDatabase db = TwoTopicDb();
   TdpmSelector selector(SmallOptions());

@@ -52,11 +52,11 @@
 // flight-recorder dump on demand — the same JSONL format a crash dump
 // uses.
 #include <algorithm>
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <map>
 #include <memory>
@@ -64,7 +64,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <system_error>
 #include <vector>
 
 #include "crowdselect/crowdselect.h"
@@ -88,15 +87,6 @@ namespace {
 [[noreturn]] void BadFlag(const std::string& key, const std::string& problem) {
   std::fprintf(stderr, "error: --%s %s\n", key.c_str(), problem.c_str());
   std::exit(2);
-}
-
-// Parses all of `text` as one number. std::from_chars takes no leading
-// space or '+', so "abc", "", " 5" and "5x" all fail.
-template <typename T>
-bool ParseWhole(std::string_view text, T* out) {
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
-  return ec == std::errc() && ptr == end;
 }
 
 struct Args {
@@ -125,18 +115,6 @@ struct Args {
     return out;
   }
 };
-
-Args Parse(int argc, char** argv) {
-  Args args;
-  if (argc >= 2) args.command = argv[1];
-  for (int i = 2; i < argc; i += 2) {
-    std::string key = argv[i];
-    if (key.rfind("--", 0) == 0) key = key.substr(2);
-    if (i + 1 == argc) BadFlag(key, "has no value");
-    args.flags[key] = argv[i + 1];
-  }
-  return args;
-}
 
 int Usage() {
   std::fprintf(stderr,
@@ -1277,37 +1255,113 @@ void WriteObservabilityOutputs(const Args& args) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Commands and the flags each one reads. A flag outside its command's
+// list exits 2 before the command runs, so a misspelled or retired flag
+// never runs the command on a default.
+// ---------------------------------------------------------------------------
+
+using FlagList = std::vector<std::string_view>;
+
+/// `flags` followed by every flag of `groups`.
+FlagList With(FlagList flags, std::initializer_list<FlagList> groups) {
+  for (const FlagList& group : groups) {
+    flags.insert(flags.end(), group.begin(), group.end());
+  }
+  return flags;
+}
+
+/// Read by every command: SetupDiagnostics, FinishDiagnostics and
+/// WriteObservabilityOutputs.
+const FlagList kCommonFlags = {
+    "stats-out",   "trace-out",     "prom-out",    "timeseries-out",
+    "alert-rules", "crash-dump-dir", "watchdog-ms", "slo-rotate-ms",
+    "profile-out", "profile-interval-us", "flightrec-out"};
+/// ServeOptionsFromArgs.
+const FlagList kServeFlags = {"serve-threads",      "foldin-cache",
+                              "scan-parallel-min",  "scan-block",
+                              "select-deadline-ms", "force-scalar"};
+/// ModelConfigFromArgs.
+const FlagList kModelFlags =
+    With({"k", "iters", "seed", "clusters"}, {kServeFlags});
+/// StorageOptionsFromArgs.
+const FlagList kStorageFlags = {"shards", "fsync", "auto-checkpoint"};
+
+struct Command {
+  std::string_view name;
+  int (*run)(const Args&);
+  FlagList flags;  ///< Besides kCommonFlags.
+
+  bool Reads(std::string_view flag) const {
+    return std::find(flags.begin(), flags.end(), flag) != flags.end() ||
+           std::find(kCommonFlags.begin(), kCommonFlags.end(), flag) !=
+               kCommonFlags.end();
+  }
+};
+
+const std::vector<Command>& Commands() {
+  static const std::vector<Command> commands = {
+      {"generate", CmdGenerate,
+       {"platform", "out", "seed", "types", "workers", "tasks", "answers",
+        "specialists", "spammers", "adversarial", "type-zipf"}},
+      {"stats", CmdStats, {"data", "thresholds"}},
+      {"train", CmdTrain, {"data", "model", "k", "iters"}},
+      {"select", CmdSelect,
+       With({"data", "model", "task", "top", "explain-out"}, {kModelFlags})},
+      {"explain", CmdExplain,
+       With({"data", "model", "task", "top", "explain-out"}, {kModelFlags})},
+      {"evaluate", CmdEvaluate,
+       With({"data", "threshold", "tests", "models", "quality-out"},
+            {kModelFlags})},
+      {"simulate", CmdSimulate,
+       With({"data", "db-dir", "model", "live-updates", "quality-out",
+             "quality-window", "drift-z", "drift-after", "drift-workers",
+             "tasks", "top", "slo-window", "prom-interval-ms",
+             "crash-after-tasks"},
+            {kModelFlags, kStorageFlags})},
+      {"ingest", CmdIngest, With({"data", "db-dir"}, {kStorageFlags})},
+      {"dbinfo", CmdDbinfo, With({"db-dir"}, {kStorageFlags})},
+      {"debug-dump", CmdDebugDump,
+       With({"workers", "k", "queries", "top", "seed", "out"},
+            {kServeFlags})},
+      {"report", CmdReport, {"timeseries", "quality", "format", "out"}},
+  };
+  return commands;
+}
+
+/// Reads `command`'s `--flag value` pairs in argv order. A token without
+/// `--`, a flag the command does not read, or a flag with no value exits
+/// 2 naming it.
+Args Parse(int argc, char** argv, const Command& command) {
+  Args args;
+  args.command = std::string(command.name);
+  for (int i = 2; i < argc; i += 2) {
+    const std::string_view token = argv[i];
+    if (token.rfind("--", 0) != 0) {
+      std::fprintf(stderr, "error: %s is not a flag (flags are --name value)\n",
+                   argv[i]);
+      std::exit(2);
+    }
+    const std::string key(token.substr(2));
+    if (!command.Reads(key)) BadFlag(key, "is not a flag of " + args.command);
+    if (i + 1 == argc) BadFlag(key, "has no value");
+    args.flags[key] = argv[i + 1];
+  }
+  return args;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Args args = Parse(argc, argv);
+  const std::string_view name = argc >= 2 ? argv[1] : "";
+  const std::vector<Command>& commands = Commands();
+  const auto command =
+      std::find_if(commands.begin(), commands.end(),
+                   [name](const Command& c) { return c.name == name; });
+  if (command == commands.end()) return Usage();
+  const Args args = Parse(argc, argv, *command);
   if (const Status st = SetupDiagnostics(args); !st.ok()) return Fail(st);
-  int rc = -1;
-  if (args.command == "generate") {
-    rc = CmdGenerate(args);
-  } else if (args.command == "stats") {
-    rc = CmdStats(args);
-  } else if (args.command == "train") {
-    rc = CmdTrain(args);
-  } else if (args.command == "select") {
-    rc = CmdSelect(args);
-  } else if (args.command == "explain") {
-    rc = CmdExplain(args);
-  } else if (args.command == "evaluate") {
-    rc = CmdEvaluate(args);
-  } else if (args.command == "simulate") {
-    rc = CmdSimulate(args);
-  } else if (args.command == "ingest") {
-    rc = CmdIngest(args);
-  } else if (args.command == "dbinfo") {
-    rc = CmdDbinfo(args);
-  } else if (args.command == "debug-dump") {
-    rc = CmdDebugDump(args);
-  } else if (args.command == "report") {
-    rc = CmdReport(args);
-  } else {
-    return Usage();
-  }
+  const int rc = command->run(args);
   WriteObservabilityOutputs(args);
   FinishDiagnostics(args);
   return rc;
