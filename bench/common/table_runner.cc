@@ -17,6 +17,22 @@ std::map<std::string, AlgorithmResult> ByName(const CellResult& cell) {
   return out;
 }
 
+// The tables' claim for one column: TDPM's `metric` is strictly above
+// every other algorithm's.
+void ExpectTdpmLeads(const std::string& column, const std::string& metric,
+                     double AlgorithmResult::*field,
+                     const std::map<std::string, AlgorithmResult>& by_name,
+                     ClaimCheck* check) {
+  const double tdpm = by_name.at("TDPM").*field;
+  for (const auto& algo : kAlgorithmOrder) {
+    if (algo == "TDPM") continue;
+    const double other = by_name.at(algo).*field;
+    check->Expect(tdpm > other, column + ": TDPM " + metric + " " +
+                                    TableReporter::Cell(tdpm) + " > " + algo +
+                                    " " + TableReporter::Cell(other));
+  }
+}
+
 }  // namespace
 
 int RunPrecisionTable(Platform platform, const std::string& table_name) {
@@ -66,16 +82,10 @@ int RunPrecisionTable(Platform platform, const std::string& table_name) {
   DumpStatsSnapshot(table_name);
 
   ClaimCheck check;
-  for (auto& [cell, by_name] : cells) {
-    const double tdpm = by_name["TDPM"].mean_accu;
-    for (const auto& algo : kAlgorithmOrder) {
-      if (algo == "TDPM") continue;
-      check.Expect(tdpm > by_name[algo].mean_accu,
-                   GroupPrefix(platform) + std::to_string(cell.first) +
-                       " K=" + std::to_string(cell.second) + ": TDPM ACCU " +
-                       TableReporter::Cell(tdpm) + " > " + algo + " " +
-                       TableReporter::Cell(by_name[algo].mean_accu));
-    }
+  for (const auto& [cell, by_name] : cells) {
+    ExpectTdpmLeads(GroupPrefix(platform) + std::to_string(cell.first) +
+                        " K=" + std::to_string(cell.second),
+                    "ACCU", &AlgorithmResult::mean_accu, by_name, &check);
   }
   return check.ExitCode();
 }
@@ -117,7 +127,14 @@ int RunRecallTable(Platform platform, const std::string& table_name) {
   }
   table.Print(std::cout);
   DumpStatsSnapshot(table_name);
-  return 0;
+
+  ClaimCheck check;
+  for (const auto& [t, by_name] : cells) {
+    const std::string column = GroupPrefix(platform) + std::to_string(t);
+    ExpectTdpmLeads(column, "Top1", &AlgorithmResult::top1, by_name, &check);
+    ExpectTdpmLeads(column, "Top2", &AlgorithmResult::top2, by_name, &check);
+  }
+  return check.ExitCode();
 }
 
 int RunCrowdStatsFigure(Platform platform, const std::string& figure_name) {

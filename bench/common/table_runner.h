@@ -15,7 +15,9 @@ namespace crowdselect::bench {
 int RunPrecisionTable(Platform platform, const std::string& table_name);
 
 /// Reproduces a recall table (paper Tables 4/6/8): Top1/Top2 for the four
-/// algorithms over five groups at the default K.
+/// algorithms over five groups at the default K. Returns 1 unless TDPM
+/// has the highest Top1 and the highest Top2 in every group (the table's
+/// claim).
 int RunRecallTable(Platform platform, const std::string& table_name);
 
 /// Reproduces a crowd-statistics figure (paper Figs. 3/5/7): task

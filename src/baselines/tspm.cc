@@ -6,18 +6,6 @@
 
 namespace crowdselect {
 
-Vector TspmSelector::TaskTopics(size_t doc_index) const {
-  return options_.backend == LdaBackend::kGibbs
-             ? gibbs_->DocTopics(doc_index)
-             : lda_->DocTopics(doc_index);
-}
-
-Vector TspmSelector::FoldInTopics(const BagOfWords& bag) const {
-  return options_.backend == LdaBackend::kGibbs
-             ? gibbs_->FoldIn(bag, &fold_rng_)
-             : lda_->FoldIn(bag);
-}
-
 Status TspmSelector::Train(const CrowdDatabase& db) {
   std::vector<LdaDocument> docs;
   std::vector<uint32_t> task_to_doc(db.NumTasks(), UINT32_MAX);
@@ -32,25 +20,16 @@ Status TspmSelector::Train(const CrowdDatabase& db) {
   }
   if (docs.empty()) return Status::FailedPrecondition("no resolved tasks");
 
-  if (options_.backend == LdaBackend::kGibbs) {
-    GibbsLdaOptions gibbs_options = options_.gibbs;
-    gibbs_options.num_topics = options_.lda.num_topics;
-    CS_ASSIGN_OR_RETURN(
-        GibbsLda model,
-        GibbsLda::Fit(docs, db.vocabulary().size(), gibbs_options));
-    gibbs_.emplace(std::move(model));
-  } else {
-    CS_ASSIGN_OR_RETURN(Lda model,
-                        Lda::Fit(docs, db.vocabulary().size(), options_.lda));
-    lda_.emplace(std::move(model));
-  }
+  CS_ASSIGN_OR_RETURN(Lda model,
+                      Lda::Fit(docs, db.vocabulary().size(), options_.lda));
+  lda_.emplace(std::move(model));
 
   const size_t k = options_.lda.num_topics;
   skills_.assign(db.NumWorkers(), Vector(k, 1.0 / static_cast<double>(k)));
   std::vector<Vector> mass(db.NumWorkers(), Vector(k));
   for (const AssignmentRecord& a : db.assignments()) {
     if (!a.has_score) continue;
-    const Vector topics = TaskTopics(task_to_doc[a.task]);
+    const Vector topics = lda_->DocTopics(task_to_doc[a.task]);
     const double weight =
         options_.feedback_weighted ? std::max(a.score, 0.0) : 1.0;
     mass[a.worker].Axpy(weight, topics);
@@ -74,7 +53,7 @@ Result<std::vector<RankedWorker>> TspmSelector::SelectTopK(
     const BagOfWords& task, size_t k,
     const std::vector<WorkerId>& candidates) const {
   if (!trained_) return Status::FailedPrecondition("TSPM not trained");
-  const Vector categories = FoldInTopics(task);
+  const Vector categories = lda_->FoldIn(task);
   TopKAccumulator acc(k);
   for (WorkerId w : candidates) {
     if (w >= skills_.size()) {

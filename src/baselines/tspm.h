@@ -1,12 +1,8 @@
 // Topic-Sensitive Probabilistic Model baseline (Guo et al., CIKM'08 [8];
 // Zhou et al., CIKM'12 [33]): Multinomial worker skills estimated on an
 // LDA latent category space (paper §7.2.1). Like DRM it suffers the
-// normalization limitation the paper targets.
-//
-// Two interchangeable LDA estimators are provided — mean-field
-// variational EM (default, lda.h) and collapsed Gibbs sampling
-// (lda_gibbs.h) — so the TDPM comparison can be shown to be robust to the
-// baseline's inference method.
+// normalization limitation the paper targets. The LDA is fitted by
+// mean-field variational EM (lda.h).
 #ifndef CROWDSELECT_BASELINES_TSPM_H_
 #define CROWDSELECT_BASELINES_TSPM_H_
 
@@ -15,22 +11,12 @@
 #include <vector>
 
 #include "baselines/lda.h"
-#include "baselines/lda_gibbs.h"
 #include "crowddb/selector_interface.h"
 
 namespace crowdselect {
 
-enum class LdaBackend {
-  kVariational,  ///< Blei-style mean-field EM.
-  kGibbs,        ///< Collapsed Gibbs sampling.
-};
-
 struct TspmOptions {
   LdaOptions lda;
-  /// Used instead of `lda` when backend == kGibbs. The topic count is
-  /// taken from `lda.num_topics` either way.
-  GibbsLdaOptions gibbs;
-  LdaBackend backend = LdaBackend::kVariational;
   /// Weight each solved task's topic proportions by its feedback score.
   bool feedback_weighted = true;
 };
@@ -39,9 +25,7 @@ class TspmSelector : public CrowdSelector {
  public:
   explicit TspmSelector(TspmOptions options) : options_(std::move(options)) {}
 
-  std::string Name() const override {
-    return options_.backend == LdaBackend::kGibbs ? "TSPM-Gibbs" : "TSPM";
-  }
+  std::string Name() const override { return "TSPM"; }
   Status Train(const CrowdDatabase& db) override;
   Result<std::vector<RankedWorker>> SelectTopK(
       const BagOfWords& task, size_t k,
@@ -49,21 +33,14 @@ class TspmSelector : public CrowdSelector {
 
   /// The worker's multinomial skill vector (sums to 1).
   const Vector& WorkerSkills(WorkerId worker) const;
-  /// Variational model; only valid for backend == kVariational.
+  /// The fitted LDA; only valid after a successful Train().
   const Lda& lda() const { return *lda_; }
-  /// Gibbs model; only valid for backend == kGibbs.
-  const GibbsLda& gibbs_lda() const { return *gibbs_; }
 
  private:
-  Vector TaskTopics(size_t doc_index) const;
-  Vector FoldInTopics(const BagOfWords& bag) const;
-
   TspmOptions options_;
   std::optional<Lda> lda_;
-  std::optional<GibbsLda> gibbs_;
   std::vector<Vector> skills_;
   bool trained_ = false;
-  mutable Rng fold_rng_{0x915};  ///< Gibbs fold-in randomness.
 };
 
 }  // namespace crowdselect

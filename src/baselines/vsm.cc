@@ -50,7 +50,9 @@ Result<std::vector<RankedWorker>> VsmSelector::SelectTopK(
         return options_.use_tfidf ? tfidf_.CosineSimilarity(task, profiles_[w])
                                   : task.CosineSimilarity(profiles_[w]);
       });
-  obs::SloTracker::Global().Record("serve.select.vsm", timer.ElapsedMicros());
+  static obs::WindowedHistogram* const slo =
+      obs::SloTracker::Global().GetWindow("serve.select.vsm");
+  slo->Record(timer.ElapsedMicros());
   return ranked;
 }
 

@@ -52,9 +52,10 @@ Result<std::vector<Answer>> CrowdManager::ProcessTask(
     std::string text, size_t k, TaskDispatcher* dispatcher) {
   // End-to-end blue-path latency (select + dispatch + feedback) under its
   // own SLO window, next to the selection-only serve.select endpoint.
+  static obs::WindowedHistogram* const slo_window =
+      obs::SloTracker::Global().GetWindow("crowd.process_task");
   ScopedTimer slo([](double elapsed_seconds) {
-    obs::SloTracker::Global().Record("crowd.process_task",
-                                     elapsed_seconds * 1e6);
+    slo_window->Record(elapsed_seconds * 1e6);
   });
   CS_ASSIGN_OR_RETURN(const TaskId id, store_->AddTask(std::move(text)));
   CS_ASSIGN_OR_RETURN(const TaskRecord rec, store_->GetTaskCopy(id));

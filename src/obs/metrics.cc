@@ -33,6 +33,11 @@ void AtomicAdd(std::atomic<double>* slot, double value) {
   }
 }
 
+// The switch of every histogram constructed outside a registry.
+const std::atomic<bool> kAlwaysEnabled{true};
+
+constexpr double kInfinity = std::numeric_limits<double>::infinity();
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -77,12 +82,15 @@ void Gauge::Reset() {
 // Histogram
 // ---------------------------------------------------------------------------
 
+Histogram::Histogram(std::vector<double> bounds)
+    : Histogram(&kAlwaysEnabled, std::move(bounds)) {}
+
 Histogram::Histogram(const std::atomic<bool>* enabled,
                      std::vector<double> bounds)
     : bounds_(std::move(bounds)),
       buckets_(bounds_.size() + 1),
-      min_(std::numeric_limits<double>::infinity()),
-      max_(-std::numeric_limits<double>::infinity()),
+      min_(kInfinity),
+      max_(-kInfinity),
       enabled_(enabled) {
   CS_CHECK(!bounds_.empty()) << "histogram needs at least one bucket bound";
   CS_CHECK(std::is_sorted(bounds_.begin(), bounds_.end()))
@@ -119,14 +127,39 @@ std::vector<uint64_t> Histogram::BucketCounts() const {
   return out;
 }
 
+HistogramSample Histogram::Sample() const {
+  HistogramSample s;
+  s.bounds = bounds_;
+  s.bucket_counts = BucketCounts();
+  s.count = TotalCount();
+  s.sum = Sum();
+  s.min = Min();
+  s.max = Max();
+  return s;
+}
+
+HistogramSample Histogram::Drain() {
+  HistogramSample s;
+  s.bounds = bounds_;
+  s.bucket_counts.resize(buckets_.size());
+  for (size_t i = 0; i < buckets_.size(); ++i) {
+    s.bucket_counts[i] = buckets_[i].exchange(0, std::memory_order_relaxed);
+  }
+  s.count = count_.exchange(0, std::memory_order_relaxed);
+  s.sum = sum_.exchange(0.0, std::memory_order_relaxed);
+  const double min = min_.exchange(kInfinity, std::memory_order_relaxed);
+  const double max = max_.exchange(-kInfinity, std::memory_order_relaxed);
+  s.min = s.count == 0 ? 0.0 : min;
+  s.max = s.count == 0 ? 0.0 : max;
+  return s;
+}
+
 void Histogram::Reset() {
   for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
   count_.store(0, std::memory_order_relaxed);
   sum_.store(0.0, std::memory_order_relaxed);
-  min_.store(std::numeric_limits<double>::infinity(),
-             std::memory_order_relaxed);
-  max_.store(-std::numeric_limits<double>::infinity(),
-             std::memory_order_relaxed);
+  min_.store(kInfinity, std::memory_order_relaxed);
+  max_.store(-kInfinity, std::memory_order_relaxed);
 }
 
 const std::vector<double>& LatencyBucketBounds() {
@@ -281,14 +314,8 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
   }
   snap.histograms.reserve(histograms_.size());
   for (const auto& [name, hist] : histograms_) {
-    HistogramSample s;
+    HistogramSample s = hist->Sample();
     s.name = name;
-    s.bounds = hist->bounds();
-    s.bucket_counts = hist->BucketCounts();
-    s.count = hist->TotalCount();
-    s.sum = hist->Sum();
-    s.min = hist->Min();
-    s.max = hist->Max();
     snap.histograms.push_back(std::move(s));
   }
   return snap;

@@ -74,12 +74,17 @@ class Gauge {
   const std::atomic<bool>* enabled_;
 };
 
+struct HistogramSample;
+
 /// Fixed-bucket histogram: bucket i counts values <= bounds[i] (and above
 /// bounds[i-1]); one overflow bucket catches the rest. Record() is a
 /// bucket search plus relaxed atomic adds — no locks, safe from any
 /// thread.
 class Histogram {
  public:
+  /// A histogram outside any registry; it is always enabled.
+  explicit Histogram(std::vector<double> bounds);
+
   void Record(double value);
 
   uint64_t TotalCount() const { return count_.load(std::memory_order_relaxed); }
@@ -88,6 +93,14 @@ class Histogram {
   double Max() const;
   const std::vector<double>& bounds() const { return bounds_; }
   std::vector<uint64_t> BucketCounts() const;
+  /// The current contents, with an empty name.
+  HistogramSample Sample() const;
+  /// Everything recorded since the last Drain(), leaving the histogram
+  /// empty. Each field is swapped out by one atomic exchange, so a
+  /// Record() racing a Drain() may land its bucket in one drain and its
+  /// sum in the next, but every field of every record is counted in
+  /// exactly one drain.
+  HistogramSample Drain();
   void Reset();
 
  private:

@@ -14,60 +14,36 @@ WindowedHistogram::WindowedHistogram(std::string name, size_t num_windows,
                                      std::string gauge_prefix)
     : name_(std::move(name)),
       num_windows_(num_windows),
-      bounds_(std::move(bounds)),
       p50_(registry->GetGauge(gauge_prefix + name_ + ".p50")),
       p95_(registry->GetGauge(gauge_prefix + name_ + ".p95")),
       p99_(registry->GetGauge(gauge_prefix + name_ + ".p99")),
       mean_(registry->GetGauge(gauge_prefix + name_ + ".mean")),
       window_count_(registry->GetGauge(gauge_prefix + name_ + ".window_count")),
-      samples_(registry->GetGauge(gauge_prefix + name_ + ".samples")) {
+      samples_(registry->GetGauge(gauge_prefix + name_ + ".samples")),
+      open_(std::move(bounds)) {
   CS_CHECK(num_windows_ >= 1) << "windowed histogram needs >= 1 window";
-  CS_CHECK(!bounds_.empty() && std::is_sorted(bounds_.begin(), bounds_.end()))
-      << "windowed histogram bounds must be non-empty and ascending";
-  open_ = EmptyWindow();
 }
 
-WindowedHistogram::Window WindowedHistogram::EmptyWindow() const {
-  Window w;
-  w.buckets.assign(bounds_.size() + 1, 0);
-  w.min = std::numeric_limits<double>::infinity();
-  w.max = -std::numeric_limits<double>::infinity();
-  return w;
-}
-
-void WindowedHistogram::Record(double value) {
-  const size_t bucket = static_cast<size_t>(
-      std::lower_bound(bounds_.begin(), bounds_.end(), value) -
-      bounds_.begin());
+HistogramSample WindowedHistogram::Rotate() {
   // cs:lock(obs.slo.window)
   std::lock_guard<std::mutex> lock(mu_);
-  ++open_.buckets[bucket];
-  ++open_.count;
-  open_.sum += value;
-  open_.min = std::min(open_.min, value);
-  open_.max = std::max(open_.max, value);
-}
-
-void WindowedHistogram::Rotate() {
-  // cs:lock(obs.slo.window)
-  std::lock_guard<std::mutex> lock(mu_);
-  closed_.push_back(std::move(open_));
-  open_ = EmptyWindow();
+  closed_.push_back(open_.Drain());
   while (closed_.size() > num_windows_) closed_.pop_front();
   ++rotations_;
   RefreshGaugesLocked();
+  return closed_.back();
 }
 
 HistogramSample WindowedHistogram::MergeLocked(bool include_open) const {
   HistogramSample s;
   s.name = name_;
-  s.bounds = bounds_;
-  s.bucket_counts.assign(bounds_.size() + 1, 0);
+  s.bounds = open_.bounds();
+  s.bucket_counts.assign(s.bounds.size() + 1, 0);
   double min = std::numeric_limits<double>::infinity();
   double max = -std::numeric_limits<double>::infinity();
-  auto add = [&](const Window& w) {
-    for (size_t i = 0; i < w.buckets.size(); ++i) {
-      s.bucket_counts[i] += w.buckets[i];
+  auto add = [&](const HistogramSample& w) {
+    for (size_t i = 0; i < w.bucket_counts.size(); ++i) {
+      s.bucket_counts[i] += w.bucket_counts[i];
     }
     s.count += w.count;
     s.sum += w.sum;
@@ -76,8 +52,8 @@ HistogramSample WindowedHistogram::MergeLocked(bool include_open) const {
       max = std::max(max, w.max);
     }
   };
-  for (const Window& w : closed_) add(w);
-  if (include_open) add(open_);
+  for (const HistogramSample& w : closed_) add(w);
+  if (include_open) add(open_.Sample());
   s.min = s.count == 0 ? 0.0 : min;
   s.max = s.count == 0 ? 0.0 : max;
   return s;
@@ -93,9 +69,7 @@ void WindowedHistogram::RefreshGaugesLocked() {
   mean_->Set(merged.Mean());
   window_count_->Set(static_cast<double>(merged.count));
   // Rotate() just pushed the freshly-closed window onto the back.
-  samples_->Set(closed_.empty()
-                    ? 0.0
-                    : static_cast<double>(closed_.back().count));
+  samples_->Set(static_cast<double>(closed_.back().count));
 }
 
 HistogramSample WindowedHistogram::Merged(bool include_open) const {
@@ -128,15 +102,11 @@ WindowedHistogram* SloTracker::GetWindow(std::string_view endpoint) {
     it = windows_
              .emplace(std::string(endpoint),
                       std::make_unique<WindowedHistogram>(
-                          std::string(endpoint), default_num_windows_,
+                          std::string(endpoint), kNumWindows,
                           ServeLatencyBucketBounds()))
              .first;
   }
   return it->second.get();
-}
-
-void SloTracker::Record(std::string_view endpoint, double latency_us) {
-  GetWindow(endpoint)->Record(latency_us);
 }
 
 void SloTracker::RotateAll() {
@@ -155,27 +125,6 @@ void SloTracker::StartBackgroundRotation(double interval_seconds) {
       std::chrono::duration<double>(interval_seconds > 0 ? interval_seconds
                                                          : 1.0),
       [this] { RotateAll(); });
-}
-
-void SloTracker::set_default_num_windows(size_t n) {
-  // cs:lock(obs.slo.window)
-  std::lock_guard<std::mutex> lock(mu_);
-  default_num_windows_ = std::max<size_t>(1, n);
-}
-
-size_t SloTracker::default_num_windows() const {
-  // cs:lock(obs.slo.window)
-  std::lock_guard<std::mutex> lock(mu_);
-  return default_num_windows_;
-}
-
-std::vector<std::string> SloTracker::Endpoints() const {
-  // cs:lock(obs.slo.window)
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> names;
-  names.reserve(windows_.size());
-  for (const auto& [name, w] : windows_) names.push_back(name);
-  return names;
 }
 
 }  // namespace crowdselect::obs

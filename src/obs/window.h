@@ -10,9 +10,13 @@
 // or a wall-clock timer at the call site); the class itself never looks
 // at a clock, so tests and replayed workloads are deterministic.
 //
-// SloTracker is the process-wide endpoint table: Record(endpoint, us)
+// The open window is one lock-free Histogram: Record() is its Record(),
+// and Rotate() drains it into the ring of closed windows.
+//
+// SloTracker is the process-wide endpoint table: GetWindow(endpoint)
 // lazily creates one WindowedHistogram per endpoint (serve.select,
-// serve.select.vsm, crowd.process_task, ...) and RotateAll() advances
+// serve.select.vsm, crowd.process_task, ...), each call site resolves
+// its endpoint once and records on the pointer, and RotateAll() advances
 // every window in lockstep.
 #ifndef CROWDSELECT_OBS_WINDOW_H_
 #define CROWDSELECT_OBS_WINDOW_H_
@@ -35,7 +39,7 @@ namespace crowdselect::obs {
 /// the current (open) window; Rotate() closes it into the ring, drops the
 /// oldest window beyond `num_windows`, and refreshes the quantile gauges
 /// from the merged *closed* windows. All methods are thread-safe; Record
-/// takes a mutex, so this is for per-query cadence, not inner loops.
+/// takes no lock.
 class WindowedHistogram {
  public:
   /// Gauges are registered as "<prefix><name>.p50" / ".p95" / ".p99" /
@@ -52,12 +56,13 @@ class WindowedHistogram {
                     MetricsRegistry* registry = &MetricsRegistry::Global(),
                     std::string gauge_prefix = "slo.");
 
-  void Record(double value);
+  void Record(double value) { open_.Record(value); }
 
-  /// Closes the current window into the ring and refreshes the gauges.
-  /// Rotating with an empty current window is valid — it ages out old
-  /// samples (and eventually zeroes the gauges) during idle periods.
-  void Rotate();
+  /// Closes the current window into the ring, refreshes the gauges, and
+  /// returns the window it closed. Rotating with an empty current window
+  /// is valid — it ages out old samples (and eventually zeroes the
+  /// gauges) during idle periods.
+  HistogramSample Rotate();
 
   /// Merged sample over the retained closed windows (what the gauges were
   /// computed from at the last Rotate), plus the open window when
@@ -69,21 +74,11 @@ class WindowedHistogram {
   uint64_t rotations() const;
 
  private:
-  struct Window {
-    std::vector<uint64_t> buckets;  ///< bounds.size() + 1.
-    uint64_t count = 0;
-    double sum = 0.0;
-    double min = 0.0;
-    double max = 0.0;
-  };
-
-  Window EmptyWindow() const;
   HistogramSample MergeLocked(bool include_open) const;
   void RefreshGaugesLocked();
 
   const std::string name_;
   const size_t num_windows_;
-  const std::vector<double> bounds_;
   Gauge* p50_;
   Gauge* p95_;
   Gauge* p99_;
@@ -91,28 +86,28 @@ class WindowedHistogram {
   Gauge* window_count_;
   Gauge* samples_;
 
-  mutable std::mutex mu_;
-  Window open_;
-  std::deque<Window> closed_;  ///< Front = oldest.
+  Histogram open_;  ///< Recorded into without a lock; Rotate() drains it.
+  mutable std::mutex mu_;  ///< Guards the closed ring, not the open window.
+  std::deque<HistogramSample> closed_;  ///< Front = oldest.
   uint64_t rotations_ = 0;
 };
 
 /// Process-wide endpoint -> WindowedHistogram table. Endpoints register
-/// lazily on first Record with the serve latency ladder and
-/// `default_num_windows()` windows.
+/// lazily on first GetWindow() with the serve latency ladder and
+/// kNumWindows windows.
 class SloTracker {
  public:
+  static constexpr size_t kNumWindows = 6;
+
   static SloTracker& Global();
 
   SloTracker() = default;
   SloTracker(const SloTracker&) = delete;
   SloTracker& operator=(const SloTracker&) = delete;
 
-  /// Records a latency (microseconds) for `endpoint`, creating its window
-  /// on first use.
-  void Record(std::string_view endpoint, double latency_us);
-
-  /// The window for `endpoint`, creating it on first use.
+  /// The window for `endpoint`, creating it on first use. The pointer
+  /// stays valid for the tracker's lifetime, so a call site resolves it
+  /// once and records latencies (microseconds) on it.
   WindowedHistogram* GetWindow(std::string_view endpoint);
 
   /// Advances every registered endpoint's window in lockstep.
@@ -129,17 +124,8 @@ class SloTracker {
 
   bool background_rotation_running() const { return rotation_.running(); }
 
-  /// Window count applied to endpoints created after the call (existing
-  /// windows keep their ring). Default 6.
-  void set_default_num_windows(size_t n);
-  size_t default_num_windows() const;
-
-  /// Registered endpoint names, sorted.
-  std::vector<std::string> Endpoints() const;
-
  private:
-  mutable std::mutex mu_;
-  size_t default_num_windows_ = 6;
+  std::mutex mu_;
   std::map<std::string, std::unique_ptr<WindowedHistogram>, std::less<>>
       windows_;
   // Declared last so it is joined before the windows it rotates die.

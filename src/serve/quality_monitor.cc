@@ -205,40 +205,28 @@ void QualityMonitor::OnResolvedTask(
   rmse_window_->Record(rmse);
   top1_window_->Record(top1);
   if (calibration_defined) calibration_window_->Record(calibration);
-  rmse_sum_in_window_ += rmse;
-  ++rmse_count_in_window_;
 
   RefreshDriftLocked();
 
-  if (++tasks_in_window_ >= config_.window_size) {
-    tasks_in_window_ = 0;
-    window_rmse_means_.push_back(
-        rmse_count_in_window_ == 0
-            ? 0.0
-            : rmse_sum_in_window_ /
-                  static_cast<double>(rmse_count_in_window_));
-    // Bound the degradation history; the verdict only needs the ends.
-    while (window_rmse_means_.size() > 256) window_rmse_means_.pop_front();
-    rmse_sum_in_window_ = 0.0;
-    rmse_count_in_window_ = 0;
-    rmse_window_->Rotate();
-    top1_window_->Rotate();
-    calibration_window_->Rotate();
-  }
+  if (++tasks_in_window_ >= config_.window_size) RotateWindowsLocked();
 }
 
 void QualityMonitor::RotateWindows() {
   // cs:lock(serve.quality)
   std::lock_guard<std::mutex> lock(mu_);
-  if (rmse_count_in_window_ > 0) {
-    window_rmse_means_.push_back(
-        rmse_sum_in_window_ / static_cast<double>(rmse_count_in_window_));
+  RotateWindowsLocked();
+}
+
+void QualityMonitor::RotateWindowsLocked() {
+  tasks_in_window_ = 0;
+  // Records happen under mu_, so the closed window's sum adds this
+  // window's RMSEs in arrival order.
+  const obs::HistogramSample rmse = rmse_window_->Rotate();
+  if (rmse.count > 0) {
+    window_rmse_means_.push_back(rmse.Mean());
+    // Bound the degradation history; the verdict only needs the ends.
     while (window_rmse_means_.size() > 256) window_rmse_means_.pop_front();
   }
-  tasks_in_window_ = 0;
-  rmse_sum_in_window_ = 0.0;
-  rmse_count_in_window_ = 0;
-  rmse_window_->Rotate();
   top1_window_->Rotate();
   calibration_window_->Rotate();
 }

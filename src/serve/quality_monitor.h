@@ -138,6 +138,9 @@ class QualityMonitor : public ResolvedTaskObserver {
 
   /// Recomputes drift z-scores + gauges; called under mu_.
   void RefreshDriftLocked();
+  /// Closes every signal window and, when the closed rmse window holds a
+  /// sample, appends its mean to window_rmse_means_; called under mu_.
+  void RotateWindowsLocked();
 
   const QualityMonitorConfig config_;
   obs::MetricsRegistry* const registry_;
@@ -170,8 +173,6 @@ class QualityMonitor : public ResolvedTaskObserver {
   // Per-window mean RMSE history (newest last, bounded) — feeds the
   // degradation verdict in Summary().
   std::deque<double> window_rmse_means_;
-  double rmse_sum_in_window_ = 0.0;
-  size_t rmse_count_in_window_ = 0;
   // Population skill drift: EWMA of per-task mean raw feedback vs the
   // long-run Welford mean/variance of the same statistic.
   double population_ewma_ = 0.0;

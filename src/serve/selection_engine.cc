@@ -200,7 +200,9 @@ Result<std::vector<RankedWorker>> SelectionEngine::SelectTopK(
       ScanSnapshot(*snap, projected.category, k, candidates, dense, stats);
   const double scan_us = stage_timer.ElapsedMicros();
   const double total_us = total_timer.ElapsedMicros();
-  obs::SloTracker::Global().Record("serve.select", total_us);
+  static obs::WindowedHistogram* const slo =
+      obs::SloTracker::Global().GetWindow("serve.select");
+  slo->Record(total_us);
   if (stats != nullptr) {
     stats->scan_us = scan_us;
     stats->total_us = total_us;

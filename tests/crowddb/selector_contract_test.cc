@@ -1,6 +1,6 @@
 // Contract tests every CrowdSelector implementation must satisfy,
-// parameterized over all five algorithms (VSM, DRM, TSPM, TSPM-Gibbs,
-// TDPM) so interface regressions surface for each of them.
+// parameterized over all four algorithms (VSM, DRM, TSPM, TDPM) so
+// interface regressions surface for each of them.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -159,14 +159,6 @@ std::vector<SelectorCase> AllSelectors() {
   cases.push_back({"TSPM", [] {
                      TspmOptions options;
                      options.lda.num_topics = 2;
-                     return std::make_unique<TspmSelector>(options);
-                   }});
-  cases.push_back({"TSPMGibbs", [] {
-                     TspmOptions options;
-                     options.lda.num_topics = 2;
-                     options.backend = LdaBackend::kGibbs;
-                     options.gibbs.burn_in_sweeps = 60;
-                     options.gibbs.sample_sweeps = 20;
                      return std::make_unique<TspmSelector>(options);
                    }});
   cases.push_back({"TDPM", [] {

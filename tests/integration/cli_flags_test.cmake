@@ -2,11 +2,12 @@
 #   cmake -DCLI=<crowdselect_cli> -DWORK_DIR=<scratch dir> -P cli_flags_test.cmake
 #
 # A numeric flag whose value is not a whole number (`--seed abc`,
-# `--spammers 0.1x`, `--thresholds 1,x`), a trailing flag with no value, a
-# flag the command does not read (`--qaunt`, a retired `--quant`,
-# `dbinfo --top`) and a token without `--` in flag position must exit
-# nonzero with an error naming the flag, before the command does any work.
-# None may fall back to a default.
+# `--spammers 0.1x`, `--thresholds 1,x`), a negative count (`--top -1`),
+# a trailing flag with no value, a flag the command does not read
+# (`--qaunt`, a retired `--quant`, `dbinfo --top`), a `generate` shape
+# flag on a platform other than hetero, and a token without `--` in flag
+# position must exit nonzero with an error naming the flag, before the
+# command does any work. None may fall back to a default.
 
 if(NOT DEFINED CLI OR NOT DEFINED WORK_DIR)
   message(FATAL_ERROR "pass -DCLI=... -DWORK_DIR=... to cli_flags_test.cmake")
@@ -32,7 +33,8 @@ function(expect_rejected flag)
       "crowdselect_cli ${ARGN}: stderr does not name ${flag} (rc=${rc}):\n"
       "${err}")
   endif()
-  if(EXISTS "${WORK_DIR}/out/workers.csv")
+  file(GLOB written "${WORK_DIR}/out/*")
+  if(written)
     message(FATAL_ERROR "crowdselect_cli ${ARGN}: ran before failing")
   endif()
 endfunction()
@@ -45,6 +47,11 @@ expect_rejected(--workers
 expect_rejected(--spammers
   generate --platform hetero --out "${out}" --spammers 0.1x)
 expect_rejected(--thresholds stats --data "${out}" --thresholds 1,x)
+# A negative count is rejected, not wrapped around to a huge size.
+expect_rejected(--top debug-dump --top -1 --out "${out}/dump.jsonl")
+expect_rejected(--workers generate --platform hetero --out "${out}" --workers -5)
+# Only the hetero platform reads the world-shape flags.
+expect_rejected(--workers generate --platform stack --out "${out}" --workers 5)
 # A trailing flag with no value.
 expect_rejected(--seed generate --platform stack --out "${out}" --seed)
 # Flags the command does not read: a typo, a retired flag, and a real flag

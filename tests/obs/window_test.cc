@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <string>
 #include <thread>
@@ -145,27 +146,47 @@ TEST(WindowedHistogramTest, CustomGaugePrefixReplacesSlo) {
   }
 }
 
+// Four threads record while another rotates: a record that races a
+// rotation lands in one window or the next, never in none or both.
+TEST(WindowedHistogramTest, ConcurrentRecordAndRotateLoseNoSample) {
+  MetricsRegistry registry;
+  WindowedHistogram window("race", 3, kBounds, &registry);
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 20000;
+  std::atomic<int> recording{kThreads};
+  std::vector<std::thread> recorders;
+  for (int t = 0; t < kThreads; ++t) {
+    recorders.emplace_back([&window, &recording, t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        window.Record(static_cast<double>((i + t) % 2000));
+      }
+      recording.fetch_sub(1);
+    });
+  }
+  uint64_t rotated = 0;
+  uint64_t rotations = 0;
+  while (recording.load() > 0) {
+    rotated += window.Rotate().count;
+    ++rotations;
+  }
+  for (std::thread& t : recorders) t.join();
+  rotated += window.Rotate().count;
+  EXPECT_EQ(rotated, static_cast<uint64_t>(kThreads) * kPerThread);
+  EXPECT_EQ(window.rotations(), rotations + 1);
+  EXPECT_EQ(window.Merged(/*include_open=*/true).count,
+            window.Merged().count);
+}
+
 TEST(SloTrackerTest, LazilyCreatesEndpointsAndRotatesInLockstep) {
   SloTracker tracker;
-  EXPECT_TRUE(tracker.Endpoints().empty());
-  tracker.Record("test.alpha", 10.0);
-  tracker.Record("test.beta", 20.0);
-  EXPECT_EQ(tracker.Endpoints(),
-            (std::vector<std::string>{"test.alpha", "test.beta"}));
+  tracker.GetWindow("test.alpha")->Record(10.0);
+  tracker.GetWindow("test.beta")->Record(20.0);
+  EXPECT_EQ(tracker.GetWindow("test.alpha")->num_windows(),
+            SloTracker::kNumWindows);
   tracker.RotateAll();
   EXPECT_EQ(tracker.GetWindow("test.alpha")->rotations(), 1u);
   EXPECT_EQ(tracker.GetWindow("test.beta")->rotations(), 1u);
   EXPECT_EQ(tracker.GetWindow("test.alpha")->Merged().count, 1u);
-}
-
-TEST(SloTrackerTest, DefaultNumWindowsAppliesToNewEndpoints) {
-  SloTracker tracker;
-  EXPECT_EQ(tracker.default_num_windows(), 6u);
-  tracker.Record("test.before", 1.0);
-  tracker.set_default_num_windows(2);
-  tracker.Record("test.after", 1.0);
-  EXPECT_EQ(tracker.GetWindow("test.before")->num_windows(), 6u);
-  EXPECT_EQ(tracker.GetWindow("test.after")->num_windows(), 2u);
 }
 
 TEST(SloTrackerTest, GlobalIsASingleton) {
@@ -174,7 +195,7 @@ TEST(SloTrackerTest, GlobalIsASingleton) {
 
 TEST(SloTrackerTest, BackgroundRotationAdvancesWindowsAndStopsCleanly) {
   SloTracker tracker;
-  tracker.Record("test.bg", 5.0);
+  tracker.GetWindow("test.bg")->Record(5.0);
   EXPECT_FALSE(tracker.background_rotation_running());
   tracker.StartBackgroundRotation(/*interval_seconds=*/0.002);
   tracker.StartBackgroundRotation(0.002);  // Idempotent while running.
@@ -199,7 +220,7 @@ TEST(SloTrackerTest, DestructorJoinsTheRotationThread) {
   // Destruction while the rotation thread sleeps must not hang or leak
   // the thread (TSan would flag a detached racer).
   SloTracker tracker;
-  tracker.Record("test.dtor", 1.0);
+  tracker.GetWindow("test.dtor")->Record(1.0);
   tracker.StartBackgroundRotation(/*interval_seconds=*/30.0);
   EXPECT_TRUE(tracker.background_rotation_running());
 }
@@ -209,7 +230,7 @@ TEST(SloTrackerTest, DestructorJoinsTheRotationThread) {
 // a whole interval.
 TEST(SloTrackerTest, StopRightAfterStartReturnsPromptly) {
   SloTracker tracker;
-  tracker.Record("test.prompt", 1.0);
+  tracker.GetWindow("test.prompt")->Record(1.0);
   const auto start = std::chrono::steady_clock::now();
   tracker.StartBackgroundRotation(/*interval_seconds=*/30.0);
   tracker.StopBackgroundRotation();
@@ -222,7 +243,7 @@ TEST(SloTrackerTest, StopRightAfterStartReturnsPromptly) {
 
 TEST(SloTrackerTest, ConcurrentStartStopLeavesConsistentState) {
   SloTracker tracker;
-  tracker.Record("test.churn", 1.0);
+  tracker.GetWindow("test.churn")->Record(1.0);
   // A Start racing a Stop's join must neither revive the loop being
   // joined nor leave the tracker wedged.
   auto churn = [&tracker] {

@@ -188,7 +188,9 @@ TEST(QualityMonitorTest, RmseDegradationComparesFirstAndLastWindow) {
   }
   const QualitySummary s = monitor.Summary();
   EXPECT_TRUE(s.rmse_degraded);
-  EXPECT_GT(s.rmse_last_window, s.rmse_first_window + 0.05);
+  // Two workers who agree score RMSE 0, two who are inverted RMSE 1.
+  EXPECT_EQ(s.rmse_first_window, 0.0);
+  EXPECT_EQ(s.rmse_last_window, 1.0);
 }
 
 TEST(QualityMonitorTest, RotateWindowsPublishesThePartialWindow) {
@@ -201,7 +203,23 @@ TEST(QualityMonitorTest, RotateWindowsPublishesThePartialWindow) {
   monitor.RotateWindows();
   EXPECT_EQ(registry.GetGauge("quality.rot.rmse.window_count")->Value(), 1.0);
   EXPECT_EQ(registry.GetGauge("quality.rot.rmse.samples")->Value(), 1.0);
-  EXPECT_GT(monitor.Summary().rmse_last_window, -1.0);
+  EXPECT_EQ(monitor.Summary().rmse_first_window, 0.0);
+  EXPECT_EQ(monitor.Summary().rmse_last_window, 0.0);
+}
+
+TEST(QualityMonitorTest, IdleRotationPushesNoWindowMean) {
+  obs::MetricsRegistry registry;
+  QualityMonitor monitor({.model_id = "idle", .window_size = 1000},
+                         &registry);
+  monitor.OnResolvedTask(SomeTask(), Ranked({{1, 0.9}, {2, 0.1}}),
+                         {{1, 1.0}, {2, 9.0}});
+  monitor.RotateWindows();  // Closes the inverted window: mean RMSE 1.
+  monitor.RotateWindows();  // Closes an empty window: no mean to push.
+  const QualitySummary s = monitor.Summary();
+  EXPECT_EQ(s.rmse_first_window, 1.0);
+  EXPECT_EQ(s.rmse_last_window, 1.0);
+  EXPECT_FALSE(s.rmse_degraded);
+  EXPECT_EQ(registry.GetGauge("quality.idle.rmse.samples")->Value(), 0.0);
 }
 
 TEST(QualityMonitorTest, SummaryJsonIsFlatAndParseable) {

@@ -106,6 +106,15 @@ struct Args {
     }
     return out;
   }
+  /// A count or size: a negative value exits 2 instead of wrapping
+  /// around in a size_t.
+  size_t GetCount(const std::string& key, size_t fallback) const {
+    const long v = GetInt(key, static_cast<long>(fallback));
+    if (v < 0) {
+      BadFlag(key, "expects a count >= 0, got '" + std::to_string(v) + "'");
+    }
+    return static_cast<size_t>(v);
+  }
   double GetDouble(const std::string& key, double fallback) const {
     const char* v = Get(key);
     double out = fallback;
@@ -199,15 +208,12 @@ int Usage() {
 
 serve::ServeOptions ServeOptionsFromArgs(const Args& args) {
   serve::ServeOptions serve_options;
-  serve_options.num_threads =
-      static_cast<size_t>(args.GetInt("serve-threads", 0));
-  serve_options.foldin_cache_capacity =
-      static_cast<size_t>(args.GetInt("foldin-cache", 256));
-  serve_options.min_parallel_candidates = static_cast<size_t>(
-      args.GetInt("scan-parallel-min",
-                  static_cast<long>(serve_options.min_parallel_candidates)));
-  serve_options.scan_block = static_cast<size_t>(
-      args.GetInt("scan-block", static_cast<long>(serve_options.scan_block)));
+  serve_options.num_threads = args.GetCount("serve-threads", 0);
+  serve_options.foldin_cache_capacity = args.GetCount("foldin-cache", 256);
+  serve_options.min_parallel_candidates = args.GetCount(
+      "scan-parallel-min", serve_options.min_parallel_candidates);
+  serve_options.scan_block =
+      args.GetCount("scan-block", serve_options.scan_block);
   serve_options.select_deadline_ms = static_cast<double>(
       args.GetInt("select-deadline-ms",
                   static_cast<long>(serve_options.select_deadline_ms)));
@@ -319,13 +325,12 @@ void FinishDiagnostics(const Args& args) {
 /// flags (shared by select, explain, simulate, evaluate).
 ModelConfig ModelConfigFromArgs(const Args& args) {
   ModelConfig config;
-  config.tdpm.num_categories = static_cast<size_t>(args.GetInt("k", 10));
-  config.tdpm.max_em_iterations = static_cast<int>(args.GetInt("iters", 30));
+  config.tdpm.num_categories = args.GetCount("k", 10);
+  config.tdpm.max_em_iterations = static_cast<int>(args.GetCount("iters", 30));
   config.tdpm.seed = static_cast<uint64_t>(args.GetInt("seed", 42));
   config.tdpm.num_threads = 0;
   config.serve = ServeOptionsFromArgs(args);
-  config.router_num_clusters =
-      static_cast<size_t>(args.GetInt("clusters", 3));
+  config.router_num_clusters = args.GetCount("clusters", 3);
   return config;
 }
 
@@ -336,14 +341,11 @@ int CmdGenerate(const Args& args) {
   if (std::string(platform_name) == "hetero") {
     HeterogeneousConfig config;
     config.seed = static_cast<uint64_t>(args.GetInt("seed", 0xEDB7));
-    config.num_types = static_cast<size_t>(
-        args.GetInt("types", static_cast<long>(config.num_types)));
-    config.num_workers = static_cast<size_t>(
-        args.GetInt("workers", static_cast<long>(config.num_workers)));
-    config.num_tasks = static_cast<size_t>(
-        args.GetInt("tasks", static_cast<long>(config.num_tasks)));
-    config.answers_per_task = static_cast<size_t>(
-        args.GetInt("answers", static_cast<long>(config.answers_per_task)));
+    config.num_types = args.GetCount("types", config.num_types);
+    config.num_workers = args.GetCount("workers", config.num_workers);
+    config.num_tasks = args.GetCount("tasks", config.num_tasks);
+    config.answers_per_task =
+        args.GetCount("answers", config.answers_per_task);
     config.specialist_fraction =
         args.GetDouble("specialists", config.specialist_fraction);
     config.spammer_fraction =
@@ -367,6 +369,15 @@ int CmdGenerate(const Args& args) {
         mix[WorkerProfile::kSpammer], mix[WorkerProfile::kAdversarial],
         data->dataset.db.NumTasks());
     return 0;
+  }
+  // A fixed platform's world has its own shape, so a shape flag would be
+  // silently ignored.
+  for (const char* flag : {"types", "workers", "tasks", "answers",
+                           "specialists", "spammers", "adversarial",
+                           "type-zipf"}) {
+    if (args.Get(flag) != nullptr) {
+      BadFlag(flag, "is read only by --platform hetero");
+    }
   }
   auto platform = ParsePlatform(platform_name);
   if (!platform.ok()) return Fail(platform.status());
@@ -417,8 +428,8 @@ int CmdTrain(const Args& args) {
   if (!db.ok()) return Fail(db.status());
 
   TdpmOptions options;
-  options.num_categories = static_cast<size_t>(args.GetInt("k", 10));
-  options.max_em_iterations = static_cast<int>(args.GetInt("iters", 30));
+  options.num_categories = args.GetCount("k", 10);
+  options.max_em_iterations = static_cast<int>(args.GetCount("iters", 30));
   options.num_threads = 0;
   TdpmSelector selector(options);
   Timer timer;
@@ -537,9 +548,9 @@ void WriteExplainJson(const Args& args, const serve::QueryStats& stats) {
 }
 
 int CmdSelect(const Args& args) {
+  const size_t top = args.GetCount("top", 3);
   auto ctx = MakeServeContext(args);
   if (!ctx.ok()) return Fail(ctx.status());
-  const size_t top = static_cast<size_t>(args.GetInt("top", 3));
   // Attach QueryStats only when asked: the ranking is identical either
   // way, but stats widen the scan by one rank to compute the cutoff.
   const bool want_stats = args.Get("explain-out") != nullptr;
@@ -557,9 +568,9 @@ int CmdSelect(const Args& args) {
 }
 
 int CmdExplain(const Args& args) {
+  const size_t top = args.GetCount("top", 3);
   auto ctx = MakeServeContext(args);
   if (!ctx.ok()) return Fail(ctx.status());
-  const size_t top = static_cast<size_t>(args.GetInt("top", 3));
   serve::QueryStats stats;
   auto ranked = ServeQuery(*ctx, top, &stats);
   if (!ranked.ok()) return Fail(ranked.status());
@@ -572,6 +583,9 @@ int CmdExplain(const Args& args) {
 int CmdEvaluate(const Args& args) {
   const char* data = args.Get("data");
   if (!data) return Usage();
+  const size_t threshold = args.GetCount("threshold", 1);
+  const size_t num_tests = args.GetCount("tests", 100);
+  const size_t k = args.GetCount("k", 10);
   auto db = ImportDatabaseCsvFiles(data);
   if (!db.ok()) return Fail(db.status());
 
@@ -579,7 +593,6 @@ int CmdEvaluate(const Args& args) {
   // right worker as the best-scored answerer of each held-out task —
   // exactly the paper's §7.2.2 definition.
   // Rebuild a SyntheticDataset-like split directly from the database.
-  const size_t threshold = static_cast<size_t>(args.GetInt("threshold", 1));
   const WorkerGroup group = MakeGroup(*db, threshold, "group");
 
   // Manual split: sample resolved tasks with >= 3 in-group answerers.
@@ -593,11 +606,10 @@ int CmdEvaluate(const Args& args) {
     shim.feedback[a.task].push_back(a.score);
   }
   SplitOptions split_options;
-  split_options.num_test_tasks = static_cast<size_t>(args.GetInt("tests", 100));
+  split_options.num_test_tasks = num_tests;
   auto split = MakeSplit(shim, group, split_options);
   if (!split.ok()) return Fail(split.status());
 
-  const size_t k = static_cast<size_t>(args.GetInt("k", 10));
   std::vector<SelectorFactory> factories;
   if (const char* models = args.Get("models")) {
     // Head-to-head comparison of crowd models ("tdpm,router")
@@ -677,10 +689,9 @@ int CmdEvaluate(const Args& args) {
 
 StorageOptions StorageOptionsFromArgs(const Args& args) {
   StorageOptions options;
-  options.num_shards = static_cast<size_t>(args.GetInt("shards", 8));
+  options.num_shards = args.GetCount("shards", 8);
   options.sync_every_append = args.GetInt("fsync", 0) != 0;
-  options.auto_checkpoint_every =
-      static_cast<size_t>(args.GetInt("auto-checkpoint", 0));
+  options.auto_checkpoint_every = args.GetCount("auto-checkpoint", 0);
   return options;
 }
 
@@ -734,6 +745,13 @@ int CmdSimulate(const Args& args) {
   const char* data = args.Get("data");
   const char* db_dir = args.Get("db-dir");
   if (!data && !db_dir) return Usage();
+  const size_t num_tasks = args.GetCount("tasks", 5);
+  const size_t top = args.GetCount("top", 3);
+  const size_t drift_after = args.GetCount("drift-after", 0);
+  // SLO monitoring: rotate the sliding latency windows every N processed
+  // tasks so the slo.* gauges track a moving recent horizon instead of
+  // the whole run.
+  const size_t slo_window = args.GetCount("slo-window", 0);
 
   // Two backends: --db-dir serves from the durable storage engine (every
   // simulated mutation is WAL-logged and survives a crash), --data keeps
@@ -754,7 +772,7 @@ int CmdSimulate(const Args& args) {
   // serving backend (the manager only sees the CrowdSelector interface).
   ModelConfig model_config = ModelConfigFromArgs(args);
   model_config.tdpm.max_em_iterations =
-      static_cast<int>(args.GetInt("iters", 10));
+      static_cast<int>(args.GetCount("iters", 10));
   auto created = CreateCrowdModel(args.Get("model", "tdpm"), model_config);
   if (!created.ok()) return Fail(created.status());
   std::unique_ptr<CrowdModel> selector = std::move(*created);
@@ -775,8 +793,7 @@ int CmdSimulate(const Args& args) {
       args.Get("timeseries-out") != nullptr) {
     serve::QualityMonitorConfig qconfig;
     qconfig.model_id = args.Get("model", "tdpm");
-    qconfig.window_size =
-        static_cast<size_t>(args.GetInt("quality-window", 50));
+    qconfig.window_size = args.GetCount("quality-window", 50);
     if (qconfig.window_size == 0) qconfig.window_size = 50;
     const double threshold = args.GetDouble("drift-z", 0.0);
     if (threshold > 0.0) qconfig.drift_z_threshold = threshold;
@@ -819,8 +836,6 @@ int CmdSimulate(const Args& args) {
     }
   }
   Rng rng(static_cast<uint64_t>(args.GetInt("seed", 0xC0FFEE)));
-  const size_t drift_after =
-      static_cast<size_t>(args.GetInt("drift-after", 0));
   const int drift_pct = static_cast<int>(
       100.0 * args.GetDouble("drift-workers", 0.3));
   size_t processed = 0;
@@ -846,13 +861,8 @@ int CmdSimulate(const Args& args) {
                                                 feedback_fn)
              : std::make_unique<TaskDispatcher>(&*db, answer_fn, feedback_fn);
 
-  const size_t num_tasks = static_cast<size_t>(args.GetInt("tasks", 5));
-  const size_t top = static_cast<size_t>(args.GetInt("top", 3));
-  // SLO monitoring: rotate the sliding latency windows every N processed
-  // tasks so the slo.* gauges track a moving recent horizon instead of
-  // the whole run. Optionally keep a Prometheus exposition file fresh in
-  // the background while the simulation runs.
-  const size_t slo_window = static_cast<size_t>(args.GetInt("slo-window", 0));
+  // Optionally keep a Prometheus exposition file fresh in the background
+  // while the simulation runs.
   std::unique_ptr<obs::PeriodicStatsExporter> exporter;
   if (const char* prom = args.Get("prom-out")) {
     const long interval_ms = args.GetInt("prom-interval-ms", 0);
@@ -969,10 +979,10 @@ int CmdSimulate(const Args& args) {
 /// without crashing. Doubles as the profiler's standard workload:
 ///   crowdselect_cli debug-dump --queries 10000 --profile-out prof.txt
 int CmdDebugDump(const Args& args) {
-  const size_t workers = static_cast<size_t>(args.GetInt("workers", 5000));
-  const size_t dims = static_cast<size_t>(args.GetInt("k", 16));
-  const size_t queries = static_cast<size_t>(args.GetInt("queries", 1000));
-  const size_t top = static_cast<size_t>(args.GetInt("top", 5));
+  const size_t workers = args.GetCount("workers", 5000);
+  const size_t dims = args.GetCount("k", 16);
+  const size_t queries = args.GetCount("queries", 1000);
+  const size_t top = args.GetCount("top", 5);
   if (workers == 0 || dims == 0) {
     return Fail(Status::InvalidArgument(
         "debug-dump needs --workers >= 1 and --k >= 1"));
